@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
   std::printf("inproc = classic single-process fabric (baseline); shm and "
               "socket cross real OS processes\n\n");
 
-  BackendRow rows[] = {{transport::Kind::kInProc},
-                       {transport::Kind::kShm},
-                       {transport::Kind::kSocket}};
+  BackendRow rows[] = {{transport::Kind::kInProc, false, {}},
+                       {transport::Kind::kShm, false, {}},
+                       {transport::Kind::kSocket, false, {}}};
   for (BackendRow& row : rows) {
     const char* name = transport::kind_name(row.kind);
     row.ok = with_ranks(row.kind, name, [&](auto make_config) {

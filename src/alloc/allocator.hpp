@@ -11,12 +11,17 @@ namespace bgq::alloc {
 /// Thread identifier within one SMP node (worker PE or comm thread index).
 using ThreadId = std::uint32_t;
 
+/// The slot of a thread registered with no allocator (tests, the main
+/// thread).  Allocators serve it from the plain heap.
+inline constexpr ThreadId kNoSlot = ~ThreadId{0};
+
 /// Abstract message-buffer allocator.
 ///
 /// Threads must be registered up front (the Charm++ runtime knows its
-/// thread count at node boot); `tid` is the caller's slot.  deallocate()
-/// may be called from *any* registered thread — cross-thread frees are the
-/// contended case the paper optimizes.
+/// thread count at node boot); `tid` is the caller's slot, and each slot
+/// has exactly one allocating thread.  deallocate() may be called from
+/// *any* thread — cross-thread frees are the contended case the paper
+/// optimizes — because the buffer's header, not `tid`, names its owner.
 class IAllocator {
  public:
   virtual ~IAllocator() = default;
@@ -30,6 +35,28 @@ class IAllocator {
   /// Number of registered threads.
   virtual ThreadId thread_count() const = 0;
 };
+
+/// The allocator a thread takes runtime buffers from, and its slot there.
+struct ThreadBinding {
+  IAllocator* pool = nullptr;  ///< null: the thread has no slot
+  ThreadId slot = kNoSlot;
+};
+
+namespace detail {
+inline thread_local ThreadBinding tls_binding{};
+}  // namespace detail
+
+/// Bind the calling thread to `slot` of `pool`.  The machine layer binds
+/// its workers, comm threads and transport poller; unbound threads take
+/// plain heap paths.
+inline void bind_thread(IAllocator* pool, ThreadId slot) noexcept {
+  detail::tls_binding = ThreadBinding{pool, slot};
+}
+
+/// The calling thread's binding.
+inline const ThreadBinding& this_thread() noexcept {
+  return detail::tls_binding;
+}
 
 namespace detail {
 

@@ -166,6 +166,17 @@ void* PoolAllocator::carve(ThreadPools& mine, ThreadId tid) {
 }
 
 void* PoolAllocator::allocate(ThreadId tid, std::size_t bytes) {
+  if (tid >= nthreads_) {
+    // A thread with no slot owns no pool: serve it from the heap.
+    unslotted_allocs_.fetch_add(1, std::memory_order_relaxed);
+    void* user = static_cast<char*>(raw_new(bytes)) + sizeof(BufferHeader);
+    auto* h = header_of(user);
+    h->owner = 0;
+    h->size_class = static_cast<std::uint16_t>(kNumSizeClasses);
+    h->kind = kKindHeapDirect;
+    h->magic = kLiveMagic;
+    return user;
+  }
   const std::size_t cls = size_class_for(bytes);
   ThreadPools& mine = *pools_[tid];
 
@@ -214,7 +225,7 @@ void* PoolAllocator::allocate(ThreadId tid, std::size_t bytes) {
   return user;
 }
 
-void PoolAllocator::deallocate(ThreadId tid, void* p) {
+void PoolAllocator::deallocate(ThreadId /*tid*/, void* p) {
   auto* h = header_of(p);
   if (h->magic != kLiveMagic) throw std::logic_error("bad free (pool)");
 
@@ -240,7 +251,8 @@ void PoolAllocator::deallocate(ThreadId tid, void* p) {
     }
     [[maybe_unused]] const std::uint16_t cls = h->size_class;
     raw_delete(h);
-    pools_[tid]->heap_frees.fetch_add(1, std::memory_order_relaxed);
+    // Counted on the owner: the freeing thread may have no slot here.
+    owner.heap_frees.fetch_add(1, std::memory_order_relaxed);
     BGQ_TRACE_EVENT(::bgq::trace::EventKind::kAllocHeapSpill, cls);
   }
 }
@@ -252,7 +264,7 @@ std::uint64_t PoolAllocator::pool_hits() const {
 }
 
 std::uint64_t PoolAllocator::heap_allocs() const {
-  std::uint64_t n = 0;
+  std::uint64_t n = unslotted_allocs_.load(std::memory_order_relaxed);
   for (auto& tp : pools_)
     n += tp->heap_allocs.load(std::memory_order_relaxed);
   return n;

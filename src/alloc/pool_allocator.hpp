@@ -15,6 +15,7 @@
 // finds the pool full (the threshold) releases the buffer to the heap.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -65,6 +66,7 @@ class PoolAllocator final : public IAllocator {
   const std::size_t pool_slots_;
   const std::size_t slab_class_;
   std::vector<std::unique_ptr<ThreadPools>> pools_;  // one per thread
+  std::atomic<std::uint64_t> unslotted_allocs_{0};   // kNoSlot heap path
 };
 
 }  // namespace bgq::alloc

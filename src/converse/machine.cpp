@@ -41,9 +41,11 @@ std::uint64_t hop_ns(std::uint64_t now, std::uint64_t stamp) noexcept {
   return now >= stamp ? now - stamp : 0;
 }
 
-}  // namespace
+/// How long a rank waits at the end of a multi-process run for peers to
+/// report quiesced before it tears its transport down anyway.
+constexpr std::uint64_t kQuiesceTimeoutNs = 1'000'000'000;
 
-thread_local alloc::ThreadId Process::tls_tid_ = 0;
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Pe
@@ -116,7 +118,7 @@ void Pe::send_message(PeRank dst, Message* m) {
     return;
   }
   counters_->add(ids.sends_network);
-  process_.net_send(*this, dst, m);
+  process_.net_send(*this, m);
 }
 
 void Pe::send(PeRank dst, HandlerId handler, const void* payload,
@@ -278,7 +280,8 @@ Process::Process(Machine& machine, pami::EndpointId endpoint)
   const MachineConfig& cfg = machine.config();
   const unsigned workers = cfg.effective_workers_per_process();
   const unsigned commthreads = cfg.effective_comm_threads();
-  const unsigned nthreads = workers + std::max(1u, commthreads);
+  unsigned nthreads = workers + std::max(1u, commthreads);
+  if (machine.multiproc()) poller_slot_ = nthreads++;
 
   if (cfg.use_pool_allocator) {
     allocator_ = std::make_unique<alloc::PoolAllocator>(nthreads);
@@ -290,6 +293,9 @@ Process::Process(Machine& machine, pami::EndpointId endpoint)
                                            cfg.contexts_per_process());
   if (cfg.reliable) client_->enable_reliability(cfg.reliability);
   register_dispatches();
+  for (unsigned i = 0; i < client_->context_count(); ++i) {
+    context_sends_.push_back({this, &client_->context(i)});
+  }
 
   pes_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
@@ -338,21 +344,25 @@ void Process::post_heartbeats() {
   });
 }
 
-void Process::net_send(Pe& src_pe, PeRank dst, Message* m) {
+void Process::net_send(Pe& src_pe, Message* m) {
   if (comm_pool_ != nullptr) {
     // Offload to a comm thread; spread this worker's traffic over all of
     // them (§III-C even distribution).
     const unsigned idx = pami::CommThreadPool::route(
         src_pe.local_index(), src_pe.send_seq_++,
         client_->context_count());
-    pami::Context& ctx = client_->context(idx);
-    ctx.post_work([this, &ctx, dst, m] { send_on_context(ctx, dst, m); });
+    // Two pointers, so std::function holds the closure inline and the
+    // post costs one allocation (its work item); the destination PE
+    // travels in the header.
+    const ContextSend* cs = &context_sends_[idx];
+    cs->ctx->post_work([cs, m] { cs->proc->send_on_context(*cs->ctx, m); });
     return;
   }
-  send_on_context(*src_pe.owned_context_, dst, m);
+  send_on_context(*src_pe.owned_context_, m);
 }
 
-void Process::send_on_context(pami::Context& ctx, PeRank dst, Message* m) {
+void Process::send_on_context(pami::Context& ctx, Message* m) {
+  const PeRank dst = m->header().dst_pe;
   const auto dst_ep =
       static_cast<pami::EndpointId>(machine_.process_of(dst));
   const auto dest_ctx = static_cast<std::uint16_t>(
@@ -493,9 +503,9 @@ void Process::start_comm_threads(unsigned n) {
   Machine* mach = &machine_;
   const auto ep = static_cast<std::uint32_t>(endpoint_);
   comm_pool_ = std::make_unique<pami::CommThreadPool>(
-      std::move(ctxs), n, [workers, mach, ep](unsigned comm_tid) {
+      std::move(ctxs), n, [this, workers, mach, ep](unsigned comm_tid) {
         // Comm threads use allocator slots after the workers'.
-        set_current_tid(workers + comm_tid);
+        bind_thread(workers + comm_tid);
         const std::string label =
             "comm" + std::to_string(ep) + "." + std::to_string(comm_tid);
         trace::Registry::bind_thread(mach->metrics().make_shard(label));
@@ -547,6 +557,7 @@ Machine::Machine(MachineConfig cfg)
   }
   multiproc_ = cfg_.transport.remote();
   if (multiproc_) {
+    quiesced_ = std::vector<std::atomic<std::uint64_t>>(cfg_.process_count());
     if (cfg_.transport.nprocs != cfg_.process_count()) {
       throw std::invalid_argument(
           "transport nprocs does not match the machine's process count");
@@ -612,6 +623,9 @@ Machine::Machine(MachineConfig cfg)
 
 Machine::~Machine() {
   for (auto& p : processes_) p->stop_comm_threads();
+  // Packets still queued in the fabric belong to the processes' pools,
+  // which die with processes_ — before the fabric.
+  fabric_->release_undelivered();
 }
 
 HandlerId Machine::register_handler(HandlerFn fn) {
@@ -644,6 +658,12 @@ void Machine::on_ctrl(const transport::CtrlMsg& m) {
   switch (m.type) {
     case ctrl::kStop:
       stop_.store(true, std::memory_order_release);
+      return;
+    case ctrl::kQuiesced:
+      // One FIFO per pair: a peer's generations arrive in order.
+      if (m.origin < quiesced_.size()) {
+        quiesced_[m.origin].store(m.a, std::memory_order_release);
+      }
       return;
     case ctrl::kBarrier: {
       // Merge a remote PE's arrival count (monotone max: counts only
@@ -718,6 +738,15 @@ void Machine::tram_tick(Pe& pe) {
   if (tram_ != nullptr) tram_->tick(pe);
 }
 
+void Machine::await_crash(std::uint64_t n) {
+  if (ft_ == nullptr) return;
+  ft_->wake();
+  while (crash_watermark_.load(std::memory_order_acquire) == n &&
+         !stopping()) {
+    std::this_thread::yield();
+  }
+}
+
 void Machine::kill_process(std::size_t p) {
   // The failure itself, nothing more: endpoints blackhole (fabric refuses
   // transfers to/from the process), comm threads stop, and the process's
@@ -733,6 +762,7 @@ void Machine::kill_process(std::size_t p) {
 void Machine::run(const std::function<void(Pe&)>& init) {
   stop_.store(false, std::memory_order_release);
   stop_sent_.store(false, std::memory_order_release);
+  ++run_gen_;
 
   const unsigned commthreads = cfg_.effective_comm_threads();
   if (commthreads != 0) {
@@ -743,8 +773,11 @@ void Machine::run(const std::function<void(Pe&)>& init) {
   if (multiproc_) {
     // The poller drains transport frames into local reception FIFOs and
     // runs the ctrl handler; it must be live before the first barrier.
+    // Every inbound packet is allocated here, from the poller's own slot.
     poller_stop_.store(false, std::memory_order_release);
     poller_ = std::thread([this] {
+      Process& local = *processes_[cfg_.transport.rank];
+      local.bind_thread(local.poller_slot_);
       while (!poller_stop_.load(std::memory_order_acquire)) {
         if (fabric_->progress() == 0) std::this_thread::yield();
       }
@@ -761,8 +794,8 @@ void Machine::run(const std::function<void(Pe&)>& init) {
     if (!process_local(proc->endpoint())) continue;
     for (unsigned w = 0; w < proc->worker_count(); ++w) {
       Pe* pe = &proc->pe(w);
-      workers.emplace_back([this, pe, w, &init] {
-        Process::set_current_tid(w);
+      workers.emplace_back([this, proc = proc.get(), pe, w, &init] {
+        proc->bind_thread(w);
         trace::Session::bind_thread(pe->ring_);
         trace::Registry::bind_thread(pe->counters_);
         worker_barrier(pe);  // everyone exists before any traffic flows
@@ -774,16 +807,39 @@ void Machine::run(const std::function<void(Pe&)>& init) {
   for (auto& t : workers) t.join();
 
   if (ft_) ft_->stop();
+  for (auto& p : processes_) p->stop_comm_threads();
   if (multiproc_) {
-    // Keep draining briefly after our workers exit: peers finishing a
-    // beat later may still be flushing frames (a blocked socket writer on
-    // the far side would wedge its shutdown otherwise).
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Workers, comm threads and the FT monitor are gone: this rank
+    // injects nothing more.  Keep draining until the peers say the same
+    // (a blocked socket writer on the far side would wedge its shutdown
+    // otherwise).
+    quiesce_peers();
     poller_stop_.store(true, std::memory_order_release);
     if (poller_.joinable()) poller_.join();
-    fabric_->transport().flush();
   }
-  for (auto& p : processes_) p->stop_comm_threads();
+}
+
+void Machine::quiesce_peers() {
+  const std::size_t self = cfg_.transport.rank;
+  if (process_killed(self)) return;  // a dead rank's frames don't matter
+  transport::CtrlMsg q;
+  q.type = ctrl::kQuiesced;
+  q.a = run_gen_;
+  try {
+    send_ctrl(-1, std::move(q));
+    fabric_->transport().flush();
+  } catch (...) {
+    // A peer torn down mid-shutdown: its death or the deadline ends the
+    // wait below.
+  }
+  const std::uint64_t deadline = now_ns() + kQuiesceTimeoutNs;
+  for (std::size_t p = 0; p < processes_.size(); ++p) {
+    while (p != self &&
+           quiesced_[p].load(std::memory_order_acquire) < run_gen_ &&
+           !process_killed(p) && !process_dead(p) && now_ns() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  }
 }
 
 trace::Report Machine::metrics_report() {

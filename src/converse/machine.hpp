@@ -53,6 +53,7 @@ class Pe;
 namespace ctrl {
 inline constexpr std::uint16_t kStop = 1;     ///< request_stop broadcast
 inline constexpr std::uint16_t kBarrier = 2;  ///< a=pe rank, b=arrival count
+inline constexpr std::uint16_t kQuiesced = 3;  ///< a=run generation
 inline constexpr std::uint16_t kFtBase = 16;
 inline constexpr std::uint16_t kFtRegs = 16;      ///< a=sent b=executed c=gen
 inline constexpr std::uint16_t kCkptReq = 17;     ///< pull ranks into ckpt
@@ -220,15 +221,23 @@ class Process {
     return static_cast<unsigned>(pes_.size());
   }
 
-  /// Allocator thread-slot of the calling thread (workers then comm
-  /// threads); set per-thread by the machine at launch.
-  static alloc::ThreadId current_tid() noexcept { return tls_tid_; }
-  static void set_current_tid(alloc::ThreadId t) noexcept { tls_tid_ = t; }
+  /// Allocator thread-slot of the calling thread (workers, then comm
+  /// threads, then the transport poller), or alloc::kNoSlot for a thread
+  /// the machine did not launch.
+  static alloc::ThreadId current_tid() noexcept {
+    return alloc::this_thread().slot;
+  }
 
-  /// Machine-layer send of a fully-built message to a remote PE.  Chooses
-  /// immediate / eager / rendezvous and routes through the right context.
-  /// Takes ownership of `m`.
-  void net_send(Pe& src_pe, PeRank dst, Message* m);
+  /// Bind the calling thread to `slot` of this process's allocator: its
+  /// messages and packet buffers come from there.  One thread per slot.
+  void bind_thread(alloc::ThreadId slot) noexcept {
+    alloc::bind_thread(allocator_.get(), slot);
+  }
+
+  /// Machine-layer send of a fully-built message to the remote PE named in
+  /// its header.  Chooses immediate / eager / rendezvous and routes
+  /// through the right context.  Takes ownership of `m`.
+  void net_send(Pe& src_pe, Message* m);
 
   /// Start comm threads (kSmpCommThreads mode); called by Machine.
   void start_comm_threads(unsigned n);
@@ -245,7 +254,8 @@ class Process {
   friend class tram::Router;  // deaggregation re-enters deliver()
 
   void register_dispatches();
-  void send_on_context(pami::Context& ctx, PeRank dst, Message* m);
+  /// Send `m` (to the PE in its header) on `ctx`, eager or rendezvous.
+  void send_on_context(pami::Context& ctx, Message* m);
 
   /// Hand a received message to its destination PE (inline in non-SMP).
   void deliver(Message* m);
@@ -261,8 +271,15 @@ class Process {
   std::unique_ptr<pami::Client> client_;
   std::vector<std::unique_ptr<Pe>> pes_;
   std::unique_ptr<pami::CommThreadPool> comm_pool_;
-
-  static thread_local alloc::ThreadId tls_tid_;
+  /// Per context, what a comm-thread send closure needs (net_send).
+  struct ContextSend {
+    Process* proc;
+    pami::Context* ctx;
+  };
+  std::vector<ContextSend> context_sends_;
+  /// Allocator slot of the transport poller (the last one; multi-process
+  /// jobs only — the poller allocates every inbound packet).
+  alloc::ThreadId poller_slot_ = alloc::kNoSlot;
 };
 
 /// The whole simulated job.
@@ -369,8 +386,17 @@ class Machine {
   std::uint64_t ft_executed() const noexcept {
     return ft_executed_.load(std::memory_order_acquire);
   }
-  void note_sent() noexcept {
-    ft_sent_.fetch_add(1, std::memory_order_acq_rel);
+  void note_sent() {
+    const std::uint64_t n =
+        ft_sent_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (n == crash_watermark_.load(std::memory_order_acquire)) {
+      await_crash(n);
+    }
+  }
+  /// The send count at which the FT monitor's next message-count crash
+  /// is due (0: none); the monitor re-arms it after each crash fires.
+  void set_crash_watermark(std::uint64_t n) noexcept {
+    crash_watermark_.store(n, std::memory_order_release);
   }
   void note_executed() noexcept {
     ft_executed_.fetch_add(1, std::memory_order_acq_rel);
@@ -461,6 +487,20 @@ class Machine {
   /// Inbound control frames (runs on the transport poller thread).
   void on_ctrl(const transport::CtrlMsg& m);
 
+  /// note_sent reached the crash watermark `n`: wake the FT monitor and
+  /// wait until it has fired the crash, so the crash lands at exactly
+  /// this send count rather than at the monitor's next tick — a short run
+  /// could finish before that tick gets a CPU.
+  void await_crash(std::uint64_t n);
+
+  /// End-of-run handshake (multi-process): once nothing on this rank
+  /// injects any more, broadcast kQuiesced and wait — the poller keeps
+  /// draining — until every peer has sent its own for this run, is dead
+  /// or declared dead, or a deadline passes.  Ctrl and data frames share
+  /// one FIFO per pair, so a peer's kQuiesced proves none of its frames
+  /// is still in flight.
+  void quiesce_peers();
+
   MachineConfig cfg_;
   topo::Torus torus_;
   trace::Registry metrics_;
@@ -483,6 +523,10 @@ class Machine {
   // reception FIFOs and runs the ctrl handler for the whole run.
   std::thread poller_;
   std::atomic<bool> poller_stop_{false};
+  // Quiesce handshake: run() calls so far, and per process the last run
+  // generation it reported quiesced (written by the poller).
+  std::uint64_t run_gen_ = 0;
+  std::vector<std::atomic<std::uint64_t>> quiesced_;
 
   // Liveness-aware per-PE-slot barrier (see worker_barrier): each PE
   // counts its own arrivals in a padded slot; a barrier completes when
@@ -499,6 +543,7 @@ class Machine {
   bool ft_armed_ = false;
   std::atomic<std::uint32_t> msg_epoch_{0};
   std::atomic<std::uint64_t> ft_sent_{0};
+  std::atomic<std::uint64_t> crash_watermark_{0};
   std::atomic<std::uint64_t> ft_executed_{0};
   std::atomic<std::uint64_t> stale_drops_{0};
   // Declared-dead process bitmask (functional machines are tiny; 64

@@ -50,7 +50,9 @@ void Manager::start() {
   {
     std::lock_guard<std::mutex> g(mon_mu_);
     mon_stop_ = false;
+    mon_woken_ = false;
   }
+  arm_crash_watermark();
   monitor_ = std::thread([this] { monitor_loop(); });
 }
 
@@ -61,6 +63,15 @@ void Manager::stop() {
   }
   mon_cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
+  mach_.set_crash_watermark(0);
+}
+
+void Manager::wake() {
+  {
+    std::lock_guard<std::mutex> g(mon_mu_);
+    mon_woken_ = true;
+  }
+  mon_cv_.notify_all();
 }
 
 void Manager::monitor_loop() {
@@ -68,8 +79,9 @@ void Manager::monitor_loop() {
     {
       std::unique_lock<std::mutex> lk(mon_mu_);
       mon_cv_.wait_for(lk, std::chrono::milliseconds(1),
-                       [this] { return mon_stop_; });
+                       [this] { return mon_stop_ || mon_woken_; });
       if (mon_stop_) return;
+      mon_woken_ = false;
     }
     const std::uint64_t now = now_ns();
     fire_crashes(now);
@@ -117,6 +129,7 @@ void Manager::fire_crashes(std::uint64_t now) {
         (ev.at_msgs != 0 && mach_.ft_sent() >= ev.at_msgs);
     if (!due) continue;
     crash_fired_[i] = true;
+    arm_crash_watermark();
     if (ev.process >= mach_.process_count()) continue;  // plan oversized
     if (mach_.multiproc()) {
       // A real process death: no destructors, no flushes — the survivors
@@ -129,6 +142,17 @@ void Manager::fire_crashes(std::uint64_t now) {
     mach_.kill_process(ev.process);
     crashes_fired_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void Manager::arm_crash_watermark() {
+  std::uint64_t next = 0;
+  for (std::size_t i = 0; i < crashes_.size(); ++i) {
+    const net::CrashEvent& ev = crashes_[i];
+    if (crash_fired_[i] || ev.at_msgs == 0) continue;
+    if (mach_.multiproc() && !mach_.process_local(ev.process)) continue;
+    if (next == 0 || ev.at_msgs < next) next = ev.at_msgs;
+  }
+  mach_.set_crash_watermark(next);
 }
 
 void Manager::post_heartbeats(std::uint64_t now) {

@@ -81,6 +81,10 @@ class Manager {
   void start();
   void stop();
 
+  /// Run the monitor's duties now rather than at its next tick (the
+  /// machine calls this when a message-count crash comes due).
+  void wake();
+
   /// Worker-scheduler hook, called when the PE's queue is drained.
   /// Returns true when protocol work ran (checkpoint or recovery).
   bool poll(cvs::Pe& pe);
@@ -130,6 +134,9 @@ class Manager {
 
   void monitor_loop();
   void fire_crashes(std::uint64_t now);
+  /// Point the machine's crash watermark at the next unfired local
+  /// message-count crash.
+  void arm_crash_watermark();
   void post_heartbeats(std::uint64_t now);
   void detect_failures(std::uint64_t now);
   void watchdog(std::uint64_t now);
@@ -195,6 +202,7 @@ class Manager {
   std::mutex mon_mu_;
   std::condition_variable mon_cv_;
   bool mon_stop_ = false;
+  bool mon_woken_ = false;
   std::uint64_t run_start_ns_ = 0;
   std::uint64_t last_hb_ns_ = 0;
   std::uint64_t last_exec_ = 0;

@@ -62,15 +62,15 @@ Fabric::Fabric(const topo::Torus& torus, NetworkParams params,
   transport_->set_sink(this);
 }
 
-Fabric::~Fabric() {
-  // Drain any undelivered packets so leak checkers stay clean — including
-  // delayed packets the chaos layer was still holding.
+Fabric::~Fabric() { release_undelivered(); }
+
+void Fabric::release_undelivered() {
   if (faults_ != nullptr) {
-    for (auto& d : faults_->delayed) delete d.p;
+    for (auto& d : faults_->delayed) d.p->release();
     faults_->delayed.clear();
   }
   for (auto& f : fifos_) {
-    while (Packet* p = f->poll()) delete p;
+    while (Packet* p = f->poll()) p->release();
   }
 }
 
@@ -97,7 +97,7 @@ void Fabric::inject(Packet* p) {
   if (transport_->endpoint_dead(p->src) ||
       transport_->endpoint_dead(p->dst)) {
     transport_->note_blackholed();
-    delete p;
+    p->release();
     return;
   }
   if (transport_->liveness_enabled()) {
@@ -105,7 +105,7 @@ void Fabric::inject(Packet* p) {
   }
 
   const int hops = torus_.hops(node_of(p->src), node_of(p->dst));
-  const std::size_t bytes = p->payload_bytes() + p->metadata.size();
+  const std::size_t bytes = p->transfer_bytes();
   p->num_packets = params_.packets_for(bytes);
   p->wire_ns = params_.wire_time_ns(bytes, hops);
   if (p->kind == TransferKind::kRdmaRead) {
@@ -144,8 +144,8 @@ void Fabric::deliver_packet(Packet* p) {
       // the completion notification to the destination FIFO.  The machine
       // layer forces the eager protocol for remote-process destinations,
       // so RDMA kinds never reach the transport.
-      if (p->rdma_bytes != 0) {
-        std::memcpy(p->rdma_dst, p->rdma_src, p->rdma_bytes);
+      if (const RdmaOp& op = p->rdma(); op.bytes != 0) {
+        std::memcpy(op.dst, op.src, op.bytes);
       }
       if (p->cid != 0) {
         trace::emit_here(trace::EventKind::kNetDeliver,
@@ -168,7 +168,7 @@ void Fabric::fifo_handoff(Packet* p) {
     // — refusal becomes backpressure, not loss.
     if (!fifo.try_deliver(p)) {
       rejects_.fetch_add(1, std::memory_order_relaxed);
-      delete p;
+      p->release();
       return;
     }
   } else {
@@ -187,7 +187,7 @@ void Fabric::deliver_remote(Packet* p) {
   if (transport_->endpoint_dead(p->src) ||
       transport_->endpoint_dead(p->dst)) {
     transport_->note_blackholed();
-    delete p;
+    p->release();
     return;
   }
   if (transport_->liveness_enabled()) {
@@ -228,25 +228,25 @@ void Fabric::inject_faulty(Packet* p) {
         // Flip one bit somewhere the receiver will look: payload first,
         // metadata next, the checksum field as a last resort.
         bitflips_.fetch_add(1, std::memory_order_relaxed);
-        if (!p->payload.empty()) {
-          const std::uint64_t bit = fs.rng.below(p->payload.size() * 8);
-          p->payload[bit / 8] ^= std::byte{1} << (bit % 8);
-        } else if (!p->metadata.empty()) {
-          const std::uint64_t bit = fs.rng.below(p->metadata.size() * 8);
-          p->metadata[bit / 8] ^= std::byte{1} << (bit % 8);
+        if (p->payload_bytes != 0) {
+          const std::uint64_t bit = fs.rng.below(p->payload_bytes * 8ull);
+          p->payload()[bit / 8] ^= std::byte{1} << (bit % 8);
+        } else if (p->meta_bytes != 0) {
+          const std::uint64_t bit = fs.rng.below(p->meta_bytes * 8ull);
+          p->metadata()[bit / 8] ^= std::byte{1} << (bit % 8);
         } else {
           p->checksum ^= 1ull << fs.rng.below(64);
         }
       }
       if (plan.drop > 0.0 && fs.rng.uniform() < plan.drop) {
         drops_.fetch_add(1, std::memory_order_relaxed);
-        delete p;
+        p->release();
         p = nullptr;
       }
       if (p != nullptr && plan.duplicate > 0.0 &&
           fs.rng.uniform() < plan.duplicate) {
         dups_.fetch_add(1, std::memory_order_relaxed);
-        dup = new Packet(*p);
+        dup = p->clone();
       }
       if (p != nullptr && plan.delay > 0.0 && fs.rng.uniform() < plan.delay) {
         delays_.fetch_add(1, std::memory_order_relaxed);

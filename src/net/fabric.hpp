@@ -124,10 +124,9 @@ class Fabric : public transport::DeliverySink {
   }
 
   /// Inject a transfer.  Takes ownership of `p`.  For kMemFifo the packet
-  /// is handed to the destination FIFO (receiver frees it); for RDMA kinds
-  /// the copy is performed, the completion hook is queued to the
-  /// destination FIFO as a zero-payload packet, and ownership passes with
-  /// it.
+  /// is handed to the destination FIFO (the receiver releases it); for
+  /// RDMA kinds the copy is performed and the packet, carrying its
+  /// completion, is queued to the destination FIFO.
   void inject(Packet* p);
 
   ReceptionFifo& reception_fifo(topo::NodeId node, unsigned fifo);
@@ -139,6 +138,13 @@ class Fabric : public transport::DeliverySink {
   /// mutex, the default lossless path is untouched.
   void set_fault_plan(const FaultPlan& plan);
   bool faults_enabled() const noexcept { return faults_ != nullptr; }
+
+  /// Release every packet the fabric still holds — in reception FIFOs and
+  /// the chaos layer's delay list — to the allocator that owns it.  The
+  /// machine calls this after its threads stop and before it destroys
+  /// the processes whose pools own the buffers; the destructor repeats
+  /// it for standalone fabrics.
+  void release_undelivered();
 
   // ---- transport (multi-process delivery) -------------------------------
 

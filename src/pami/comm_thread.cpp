@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "common/timing.hpp"
 #include "trace/trace.hpp"
 #include "verify/schedule_point.hpp"
 
@@ -47,6 +48,13 @@ namespace {
 // Park deadline while reliability timers are armed — half the default
 // initial RTO, so a retransmit is at most one park late.
 constexpr std::uint64_t kTimerParkNs = 100'000;
+// How long an idle comm thread keeps polling — yielding its core to any
+// other runnable thread — before it parks (§III-D's idle-poll trade-off).
+// Here a park/wake round trip is an OS context switch of ~25 us, not the
+// wakeup unit's ~0.4 us, so parking on every short gap between bursts put
+// that cost on most messages of the next burst; the budget is a couple
+// of round trips.
+constexpr std::uint64_t kSpinBeforeParkNs = 50'000;
 }  // namespace
 
 void CommThreadPool::run(unsigned tid) {
@@ -60,6 +68,7 @@ void CommThreadPool::run(unsigned tid) {
     mine.push_back(contexts_[c]);
   }
 
+  std::uint64_t idle_since = 0;  // 0: the last sweep found work
   while (!stop_.load(std::memory_order_acquire)) {
     BGQ_SCHED_POINT("comm.poll.sweep");
     std::size_t events = 0;
@@ -67,8 +76,16 @@ void CommThreadPool::run(unsigned tid) {
     sweeps_.fetch_add(1, std::memory_order_relaxed);
     if (events != 0) {
       BGQ_TRACE_EVENT(::bgq::trace::EventKind::kCommAdvance, events);
+      idle_since = 0;
       continue;
     }
+    const std::uint64_t now = now_ns();
+    if (idle_since == 0) idle_since = now;
+    if (now - idle_since < kSpinBeforeParkNs) {
+      std::this_thread::yield();
+      continue;
+    }
+    idle_since = 0;
 
     // Idle: park on the wakeup gate (emulated `wait` instruction).  The
     // prepare/re-check/commit dance closes the race against a packet that

@@ -19,9 +19,9 @@ Context::Context(Client& client, std::uint16_t index)
 
 Context::~Context() {
   for (auto& [key, ch] : chans_) {
-    for (auto& pend : ch.pending) delete pend.copy;
+    for (auto& pend : ch.pending) pend.copy->release();
   }
-  for (net::Packet* p : backlog_) delete p;
+  for (net::Packet* p : backlog_) p->release();
   // A killed process's contexts die with posted work still queued (the
   // monitor may have raced a heartbeat post against the kill).
   while (WorkItem* w = work_.try_dequeue()) delete w;
@@ -31,55 +31,32 @@ net::ReceptionFifo& Context::fifo() {
   return client_.fabric().reception_fifo(client_.endpoint(), index_);
 }
 
-namespace {
-
-void fill_common(net::Packet& pkt, EndpointId src, const SendParams& p) {
-  pkt.kind = net::TransferKind::kMemFifo;
-  pkt.src = src;
-  pkt.dst = p.dest;
-  pkt.dispatch = p.dispatch;
-  pkt.rec_fifo = p.dest_context;
-  pkt.cid = p.cid;
-  if (p.metadata_bytes != 0) {
-    pkt.metadata.resize(p.metadata_bytes);
-    std::memcpy(pkt.metadata.data(), p.metadata, p.metadata_bytes);
-  }
-  if (p.payload_bytes != 0) {
-    pkt.payload.resize(p.payload_bytes);
-    std::memcpy(pkt.payload.data(), p.payload, p.payload_bytes);
-  }
-}
-
-}  // namespace
-
+// Both send flavours copy the payload into the packet, so the local
+// completion fires before the call returns; on hardware it fires when the
+// MU has drained the descriptors, which the dispatcher above us cannot
+// distinguish.  They differ only in the immediate size limit and counter.
 void Context::send_immediate(const SendParams& p) {
   if (p.metadata_bytes + p.payload_bytes > kImmediateMax) {
     throw std::invalid_argument("send_immediate: exceeds immediate limit");
   }
-  // Single-descriptor path: one packet object, one copy, no completion
-  // bookkeeping — minimal overhead, as on hardware.
-  auto* pkt = new net::Packet();
-  fill_common(*pkt, client_.endpoint(), p);
-  if (client_.reliable() && !p.best_effort) {
-    reliable_submit(pkt);
-  } else {
-    if (pkt->cid != 0) {
-      trace::emit_here(trace::EventKind::kNetInject,
-                       static_cast<std::uint32_t>(pkt->dst), pkt->cid);
-    }
-    client_.fabric().inject(pkt);
-  }
-  ++imm_sends_;
-  if (p.local_done) p.local_done();
+  submit(p, imm_sends_);
 }
 
-void Context::send(const SendParams& p) {
-  // Two-descriptor path (metadata + payload).  The payload is copied, so
-  // the local completion fires immediately; on hardware it fires when the
-  // MU has drained the descriptors, which the dispatcher above us cannot
-  // distinguish.
-  auto* pkt = new net::Packet();
-  fill_common(*pkt, client_.endpoint(), p);
+void Context::send(const SendParams& p) { submit(p, sends_); }
+
+void Context::submit(const SendParams& p, std::uint64_t& counter) {
+  net::Packet* pkt = net::Packet::create(p.metadata_bytes, p.payload_bytes);
+  pkt->src = client_.endpoint();
+  pkt->dst = p.dest;
+  pkt->dispatch = p.dispatch;
+  pkt->rec_fifo = p.dest_context;
+  pkt->cid = p.cid;
+  if (p.metadata_bytes != 0) {
+    std::memcpy(pkt->metadata(), p.metadata, p.metadata_bytes);
+  }
+  if (p.payload_bytes != 0) {
+    std::memcpy(pkt->payload(), p.payload, p.payload_bytes);
+  }
   if (client_.reliable() && !p.best_effort) {
     reliable_submit(pkt);
   } else {
@@ -89,22 +66,18 @@ void Context::send(const SendParams& p) {
     }
     client_.fabric().inject(pkt);
   }
-  ++sends_;
+  ++counter;
   if (p.local_done) p.local_done();
 }
 
 void Context::rget(EndpointId remote, const std::byte* remote_src,
                    std::byte* local_dst, std::size_t bytes,
-                   std::function<void()> done) {
-  auto* pkt = new net::Packet();
-  pkt->kind = net::TransferKind::kRdmaRead;
+                   const net::Completion& done) {
+  net::Packet* pkt = net::Packet::create_rdma(
+      net::TransferKind::kRdmaRead, remote_src, local_dst, bytes, done);
   pkt->src = remote;                 // where the data lives
   pkt->dst = client_.endpoint();     // completion lands back here
   pkt->rec_fifo = index_;
-  pkt->rdma_src = remote_src;
-  pkt->rdma_dst = local_dst;
-  pkt->rdma_bytes = bytes;
-  pkt->on_delivered = std::move(done);
   client_.fabric().inject(pkt);
   ++sends_;
 }
@@ -112,25 +85,23 @@ void Context::rget(EndpointId remote, const std::byte* remote_src,
 void Context::rput(EndpointId remote, std::byte* remote_dst,
                    const std::byte* local_src, std::size_t bytes,
                    std::uint16_t dest_context,
-                   std::function<void()> remote_done) {
-  auto* pkt = new net::Packet();
-  pkt->kind = net::TransferKind::kRdmaWrite;
+                   const net::Completion& remote_done) {
+  net::Packet* pkt = net::Packet::create_rdma(
+      net::TransferKind::kRdmaWrite, local_src, remote_dst, bytes,
+      remote_done);
   pkt->src = client_.endpoint();
   pkt->dst = remote;
   pkt->rec_fifo = dest_context;
-  pkt->rdma_src = local_src;
-  pkt->rdma_dst = remote_dst;
-  pkt->rdma_bytes = bytes;
-  pkt->on_delivered = std::move(remote_done);
   client_.fabric().inject(pkt);
   ++sends_;
 }
 
 void Context::process(net::Packet* p) {
+  const net::PacketPtr owned(p);
   if (p->kind == net::TransferKind::kMemFifo) {
     // Sequenced / ack packets first pass through the reliability layer,
-    // which consumes (and frees) corrupted, duplicate, and pure-ack
-    // packets; only fresh data falls through to dispatch.
+    // which consumes corrupted, duplicate, and pure-ack packets; only
+    // fresh data falls through to dispatch.
     if (p->flags != 0 && !reliable_receive(p)) return;
     // Exactly-once per delivered message even under retransmit: duplicates
     // were filtered above, so this is the dispatch hop of the lifecycle.
@@ -139,24 +110,20 @@ void Context::process(net::Packet* p) {
                        static_cast<std::uint32_t>(p->src), p->cid);
     }
     const DispatchFn& fn = client_.dispatch(p->dispatch);
-    if (!fn) {
-      delete p;
-      throw std::logic_error("packet for unregistered dispatch id");
-    }
+    if (!fn) throw std::logic_error("packet for unregistered dispatch id");
     DispatchArgs args;
     args.context = this;
     args.origin = p->src;
-    args.metadata = p->metadata.data();
-    args.metadata_bytes = p->metadata.size();
-    args.payload = p->payload.data();
-    args.payload_bytes = p->payload.size();
+    args.metadata = p->metadata();
+    args.metadata_bytes = p->meta_bytes;
+    args.payload = p->payload();
+    args.payload_bytes = p->payload_bytes;
     fn(args);
   } else {
     // RDMA completion notification: the copy already happened at inject.
-    if (p->on_delivered) p->on_delivered();
+    p->complete();
   }
   ++recvs_;
-  delete p;
 }
 
 std::size_t Context::advance(std::size_t max_events) {
@@ -203,7 +170,7 @@ void Context::reliable_submit(net::Packet* pkt) {
   // overrunning the peer.  advance() drains as acks free window slots.
   if (!backlog_.empty() || ch.pending.size() >= rp.window) {
     if (backlog_.size() >= rp.backlog_max) {
-      delete pkt;
+      pkt->release();
       throw std::runtime_error(
           "pami reliability: backpressure backlog overflow "
           "(application is outrunning the network)");
@@ -224,20 +191,18 @@ void Context::transmit(Channel& ch, net::Packet* pkt) {
   const ReliabilityParams& rp = client_.reliability();
   pkt->seq = ch.next_seq++;
   // Piggyback acks owed to this same peer on the outgoing data packet.
-  const std::size_t take = std::min(rp.max_piggyback, ch.owed_acks.size());
+  const std::size_t take = std::min(
+      {rp.max_piggyback, ch.owed_acks.size(), net::Packet::kMaxAcks});
   if (take != 0) {
-    pkt->acks.assign(ch.owed_acks.end() - static_cast<std::ptrdiff_t>(take),
-                     ch.owed_acks.end());
-    ch.owed_acks.resize(ch.owed_acks.size() - take);
-    owed_total_ -= take;
+    pkt = net::Packet::with_acks(pkt, take);
+    take_acks(ch, *pkt);
     acks_piggy_ += take;
   }
   pkt->checksum = net::packet_checksum(*pkt);
-  // The retransmit buffer keeps a private copy: the fabric owns (and may
-  // corrupt, drop, or free) the injected original.
-  auto* copy = new net::Packet(*pkt);
+  // The retransmit buffer keeps a private clone: the fabric owns (and may
+  // corrupt, drop, or release) the injected original.
   ch.pending.push_back(
-      Pending{pkt->seq, copy, now_ns() + rp.rto_ns, rp.rto_ns, 0});
+      Pending{pkt->seq, pkt->clone(), now_ns() + rp.rto_ns, rp.rto_ns, 0});
   outstanding_.fetch_add(1, std::memory_order_relaxed);
   BGQ_SCHED_POINT("pami.rel.transmit");
   if (pkt->cid != 0) {
@@ -247,10 +212,19 @@ void Context::transmit(Channel& ch, net::Packet* pkt) {
   client_.fabric().inject(pkt);
 }
 
+void Context::take_acks(Channel& ch, net::Packet& pkt) {
+  const std::size_t first = ch.owed_acks.size() - pkt.nacks;
+  for (std::size_t i = 0; i < pkt.nacks; ++i) {
+    pkt.set_ack(i, ch.owed_acks[first + i]);
+  }
+  ch.owed_acks.resize(first);
+  owed_total_ -= pkt.nacks;
+}
+
 void Context::ack_one(Channel& ch, std::uint64_t seq) {
   for (std::size_t i = 0; i < ch.pending.size(); ++i) {
     if (ch.pending[i].seq == seq) {
-      delete ch.pending[i].copy;
+      ch.pending[i].copy->release();
       ch.pending.erase(ch.pending.begin() + static_cast<std::ptrdiff_t>(i));
       outstanding_.fetch_sub(1, std::memory_order_relaxed);
       return;
@@ -265,14 +239,12 @@ bool Context::reliable_receive(net::Packet* p) {
   // recovers the clean copy.
   if (net::packet_checksum(*p) != p->checksum) {
     ++corrupt_;
-    delete p;
     return false;
   }
   Channel& ch = channel(p->src, p->src_ctx);
-  for (const std::uint64_t a : p->acks) ack_one(ch, a);
+  for (std::size_t i = 0; i < p->nacks; ++i) ack_one(ch, p->ack(i));
   if ((p->flags & net::kPktAck) != 0) {
-    delete p;  // pure ack: no dispatch, no receive count
-    return false;
+    return false;  // pure ack: no dispatch, no receive count
   }
   // Dedup: an already-delivered seq is re-acked (the first ack may have
   // been lost) but never re-dispatched — exactly-once delivery.  The
@@ -292,7 +264,6 @@ bool Context::reliable_receive(net::Packet* p) {
     ++dedup_;
     ch.owed_acks.push_back(seq);
     ++owed_total_;
-    delete p;
     return false;
   }
   // Mark delivered: advance the cumulative watermark, absorbing any
@@ -349,7 +320,7 @@ std::size_t Context::reliability_tick() {
     if (client_.fabric().endpoint_dead(pkt->dst)) {
       backlog_.pop_front();
       backlog_count_.fetch_sub(1, std::memory_order_relaxed);
-      delete pkt;
+      pkt->release();
       ++dead_drops_;
       ++activity;
       continue;
@@ -376,7 +347,7 @@ std::size_t Context::reliability_tick() {
           continue;
         }
         if (client_.fabric().endpoint_dead(pend.copy->dst)) {
-          delete pend.copy;
+          pend.copy->release();
           ch.pending.erase(ch.pending.begin() +
                            static_cast<std::ptrdiff_t>(i));
           outstanding_.fetch_sub(1, std::memory_order_relaxed);
@@ -397,7 +368,7 @@ std::size_t Context::reliability_tick() {
                            static_cast<std::uint32_t>(pend.copy->dst),
                            pend.copy->cid);
         }
-        client_.fabric().inject(new net::Packet(*pend.copy));
+        client_.fabric().inject(pend.copy->clone());
         retransmits_.fetch_add(1, std::memory_order_relaxed);
         ++activity;
         ++i;
@@ -410,20 +381,15 @@ std::size_t Context::reliability_tick() {
   if (owed_total_ != 0) {
     for (auto& [key, ch] : chans_) {
       while (!ch.owed_acks.empty()) {
-        const std::size_t take =
-            std::min(rp.max_ack_batch, ch.owed_acks.size());
-        auto* ack = new net::Packet();
-        ack->kind = net::TransferKind::kMemFifo;
+        const std::size_t take = std::min(
+            {rp.max_ack_batch, ch.owed_acks.size(), net::Packet::kMaxAcks});
+        net::Packet* ack = net::Packet::create(0, 0, take);
         ack->src = client_.endpoint();
         ack->dst = static_cast<EndpointId>(key >> 16);
         ack->rec_fifo = static_cast<std::uint16_t>(key & 0xFFFF);
         ack->flags = net::kPktAck;
         ack->src_ctx = index_;
-        ack->acks.assign(
-            ch.owed_acks.end() - static_cast<std::ptrdiff_t>(take),
-            ch.owed_acks.end());
-        ch.owed_acks.resize(ch.owed_acks.size() - take);
-        owed_total_ -= take;
+        take_acks(ch, *ack);
         acks_alone_ += take;
         ack->checksum = net::packet_checksum(*ack);
         BGQ_SCHED_POINT("pami.rel.ackflush");

@@ -75,7 +75,7 @@ struct SendParams {
   /// Invoked once the payload buffer is reusable (both send flavours copy,
   /// so this fires before the call returns — kept for API fidelity).
   std::function<void()> local_done;
-  /// Causal trace id carried through to the Packet (0 = untraced).
+  /// Causal trace id carried through to the packet (0 = untraced).
   std::uint64_t cid = 0;
   /// Skip the reliability layer even when the client enabled it: the
   /// packet goes out unsequenced, unacked, never retransmitted.  For
@@ -110,10 +110,11 @@ class Context {
 
   /// One-sided RDMA read: pull `bytes` from `remote_src` (registered on
   /// endpoint `remote`) into `local_dst`; `done` runs on this context's
-  /// advancing thread when the data has landed.
+  /// advancing thread when the data has landed.  Completions are small
+  /// trivially copyable callables that travel inside the packet.
   void rget(EndpointId remote, const std::byte* remote_src,
             std::byte* local_dst, std::size_t bytes,
-            std::function<void()> done);
+            const net::Completion& done);
 
   /// One-sided RDMA write: push bytes into `remote_dst` on endpoint
   /// `remote`; `remote_done` (optional) runs on the remote context's
@@ -121,7 +122,7 @@ class Context {
   void rput(EndpointId remote, std::byte* remote_dst,
             const std::byte* local_src, std::size_t bytes,
             std::uint16_t dest_context = 0,
-            std::function<void()> remote_done = {});
+            const net::Completion& remote_done = {});
 
   /// Poll this context: deliver arrived packets to dispatch callbacks, run
   /// RDMA completions, execute posted work.  Returns events processed.
@@ -186,7 +187,7 @@ class Context {
     std::function<void()> fn;
   };
 
-  /// Retransmit-buffer entry: a private copy of an unacked packet.
+  /// Retransmit-buffer entry: a private clone of an unacked packet.
   struct Pending {
     std::uint64_t seq = 0;
     net::Packet* copy = nullptr;
@@ -210,12 +211,17 @@ class Context {
 
   net::ReceptionFifo& fifo();
   void process(net::Packet* p);
+  /// The one body of send and send_immediate: fill a packet from `p`,
+  /// inject it (through the reliability layer when armed), count it.
+  void submit(const SendParams& p, std::uint64_t& counter);
 
   // Reliability internals (pami.cpp); all run on the advancing thread.
   Channel& channel(EndpointId ep, std::uint16_t ctx);
   void reliable_submit(net::Packet* pkt);
   void transmit(Channel& ch, net::Packet* pkt);
   bool reliable_receive(net::Packet* p);
+  /// Move the newest `pkt.nacks` acks owed on `ch` into `pkt`.
+  void take_acks(Channel& ch, net::Packet& pkt);
   void ack_one(Channel& ch, std::uint64_t seq);
   std::size_t reliability_tick();
 

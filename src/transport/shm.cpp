@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -145,7 +146,6 @@ ShmTransport::ShmTransport(const Config& cfg)
     rx_[j] = ring_at(j, rank_);
     tx_mu_[j] = std::make_unique<std::mutex>();
   }
-  rx_scratch_.resize(cfg.ring_bytes);
 }
 
 ShmTransport::~ShmTransport() {
@@ -174,18 +174,17 @@ void ShmTransport::touch_liveness(topo::NodeId ep, std::uint64_t t) noexcept {
   hdr_->last_heard[ep].store(t, std::memory_order_release);
 }
 
-void ShmTransport::push_frame(unsigned dst,
-                              const std::vector<std::byte>& frame,
-                              bool ctrl) {
-  if (frame.size() > tx_[dst].capacity()) {
+void ShmTransport::push_frame(unsigned dst, const std::byte* frame,
+                              std::size_t bytes, bool ctrl) {
+  if (bytes > tx_[dst].capacity()) {
     throw std::runtime_error(
-        "shm transport: frame of " + std::to_string(frame.size()) +
+        "shm transport: frame of " + std::to_string(bytes) +
         " bytes exceeds ring capacity " + std::to_string(tx_[dst].capacity()) +
         " (raise ring_kb)");
   }
   std::lock_guard<std::mutex> lock(*tx_mu_[dst]);
   bool counted_full = false;
-  while (!tx_[dst].try_push(frame.data(), frame.size())) {
+  while (!tx_[dst].try_push(frame, bytes)) {
     if (!counted_full) {
       counters_.ring_full.fetch_add(1, std::memory_order_relaxed);
       counted_full = true;
@@ -199,7 +198,7 @@ void ShmTransport::push_frame(unsigned dst,
     }
     std::this_thread::yield();
   }
-  counters_.bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
+  counters_.bytes_out.fetch_add(bytes, std::memory_order_relaxed);
   if (ctrl) {
     counters_.ctrl_out.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -208,65 +207,61 @@ void ShmTransport::push_frame(unsigned dst,
 }
 
 void ShmTransport::inject(net::Packet* p) {
-  const unsigned dst = static_cast<unsigned>(p->dst);
-  std::vector<std::byte> frame;
-  try {
-    wire::encode_packet(*p, frame);
-  } catch (...) {
-    delete p;
-    throw;
-  }
-  delete p;
-  push_frame(dst, frame, /*ctrl=*/false);
+  const net::PacketPtr owned(p);
+  const auto frame = wire::frame_of(*p);
+  push_frame(static_cast<unsigned>(p->dst), frame.data(), frame.size(),
+             /*ctrl=*/false);
 }
 
 void ShmTransport::send_ctrl(int dst, const CtrlMsg& m) {
   std::vector<std::byte> frame;
   wire::encode_ctrl(m, frame);
   if (dst >= 0) {
-    push_frame(static_cast<unsigned>(dst), frame, /*ctrl=*/true);
+    push_frame(static_cast<unsigned>(dst), frame.data(), frame.size(),
+               /*ctrl=*/true);
     return;
   }
   for (unsigned j = 0; j < nprocs_; ++j) {
-    if (j != rank_) push_frame(j, frame, /*ctrl=*/true);
+    if (j != rank_) push_frame(j, frame.data(), frame.size(), /*ctrl=*/true);
   }
 }
 
 std::size_t ShmTransport::drain_ring(unsigned src) {
   ShmRingView& ring = rx_[src];
   std::size_t frames = 0;
-  std::byte head[wire::kFrameOverhead];
-  while (ring.peek(0, head, sizeof head)) {
-    std::uint32_t body_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      body_len |= static_cast<std::uint32_t>(head[i]) << (8 * i);
+  // Room for a data frame's whole header; the prefix is its first bytes.
+  std::byte head[sizeof(net::Packet)];
+  while (ring.peek(0, head, wire::kFrameOverhead)) {
+    const std::uint32_t n = wire::frame_length(head);
+    if (n < wire::kFrameOverhead || n > ring.capacity()) {
+      throw wire::FrameError("shm transport: frame length " +
+                             std::to_string(n) + " out of range");
     }
-    const std::uint8_t type = static_cast<std::uint8_t>(head[4]);
-    if (body_len == 0) {
-      throw std::runtime_error("shm transport: zero-length frame in ring");
-    }
-    if (body_len + 1u > rx_scratch_.size()) rx_scratch_.resize(body_len + 1);
-    // body_len counts the type byte; the remaining body follows the header.
-    const std::size_t body = body_len - 1;
-    if (!ring.peek(sizeof head, rx_scratch_.data(), body)) {
-      // Cannot happen: try_push publishes whole frames.  Treat a torn
-      // frame as corruption rather than spinning forever.
-      throw std::runtime_error("shm transport: torn frame in ring");
-    }
-    ring.consume(sizeof head - 1 + body_len);
     counters_.frames_in.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_in.fetch_add(sizeof head + body, std::memory_order_relaxed);
+    counters_.bytes_in.fetch_add(n, std::memory_order_relaxed);
     ++frames;
-    if (type == wire::kFrameData) {
-      net::Packet* p = wire::decode_packet(rx_scratch_.data(), body);
-      if (sink_ != nullptr) {
-        sink_->deliver_remote(p);
-      } else {
-        delete p;
+    // try_push publishes whole frames, so a readable prefix implies a
+    // readable frame; a short peek below is corruption, not a race.
+    if (wire::frame_type(head) == wire::kFrameCtrl) {
+      std::vector<std::byte> body(n - wire::kFrameOverhead);
+      if (!ring.peek(wire::kFrameOverhead, body.data(), body.size())) {
+        throw wire::FrameError("shm transport: torn frame in ring");
       }
-    } else {
-      handle_ctrl(wire::decode_ctrl(rx_scratch_.data(), body));
+      ring.consume(n);
+      handle_ctrl(wire::decode_ctrl(body.data(), body.size()));
+      continue;
     }
+    // The header is validated before the packet is allocated; the body
+    // is then copied out of the ring straight into the packet.
+    if (!ring.peek(0, head, std::min<std::size_t>(n, sizeof head))) {
+      throw wire::FrameError("shm transport: torn frame in ring");
+    }
+    net::PacketPtr p(wire::packet_for(head, n));
+    if (!ring.peek(sizeof(net::Packet), p->body(), p->body_bytes())) {
+      throw wire::FrameError("shm transport: torn frame in ring");
+    }
+    ring.consume(n);
+    if (sink_ != nullptr) sink_->deliver_remote(p.release());
   }
   return frames;
 }

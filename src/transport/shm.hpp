@@ -9,6 +9,10 @@
 // other rank's failure detector — the same single-writer-per-slot
 // discipline as the in-process fabric, just in a shared mapping.
 //
+// A data frame is the packet buffer itself: inject() is one try_push of
+// it, and the poller copies each inbound frame out of the ring once,
+// into a packet from its own pool slot (transport/wire.hpp).
+//
 // Frames larger than the ring capacity can never be pushed; the
 // transport rejects them loudly (raise ring_kb) instead of deadlocking.
 // A full ring backpressures the producer (net.transport.ring_full); the
@@ -56,7 +60,7 @@ class ShmTransport final : public Transport {
   static void unlink_session(const std::string& session);
 
  private:
-  void push_frame(unsigned dst, const std::vector<std::byte>& frame,
+  void push_frame(unsigned dst, const std::byte* frame, std::size_t bytes,
                   bool ctrl);
   std::size_t drain_ring(unsigned src);
 
@@ -74,7 +78,6 @@ class ShmTransport final : public Transport {
   /// comm threads inject concurrently; the ring itself is SPSC).
   std::vector<std::unique_ptr<std::mutex>> tx_mu_;
   std::mutex poll_mu_;  ///< single-consumer guard (try_lock in poll)
-  std::vector<std::byte> rx_scratch_;
 };
 
 }  // namespace bgq::transport

@@ -198,23 +198,22 @@ SocketTransport::~SocketTransport() {
   if (!cfg_.use_tcp) ::unlink(uds_path(rank_).c_str());
 }
 
-void SocketTransport::send_frame(unsigned dst,
-                                 const std::vector<std::byte>& frame,
-                                 bool ctrl) {
+void SocketTransport::send_frame(unsigned dst, const std::byte* frame,
+                                 std::size_t bytes, bool ctrl) {
   Peer& peer = peers_[dst];
   std::lock_guard<std::mutex> lock(*peer.write_mu);
   if (!peer.open) {
     note_blackholed();
     return;
   }
-  if (!send_all(peer.fd, frame.data(), frame.size())) {
+  if (!send_all(peer.fd, frame, bytes)) {
     // The peer process is gone.  Park the connection; the failure
     // detector declares the death from heartbeat silence.
     peer.open = false;
     note_blackholed();
     return;
   }
-  counters_.bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
+  counters_.bytes_out.fetch_add(bytes, std::memory_order_relaxed);
   if (ctrl) {
     counters_.ctrl_out.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -223,27 +222,22 @@ void SocketTransport::send_frame(unsigned dst,
 }
 
 void SocketTransport::inject(net::Packet* p) {
-  const unsigned dst = static_cast<unsigned>(p->dst);
-  std::vector<std::byte> frame;
-  try {
-    wire::encode_packet(*p, frame);
-  } catch (...) {
-    delete p;
-    throw;
-  }
-  delete p;
-  send_frame(dst, frame, /*ctrl=*/false);
+  const net::PacketPtr owned(p);
+  const auto frame = wire::frame_of(*p);
+  send_frame(static_cast<unsigned>(p->dst), frame.data(), frame.size(),
+             /*ctrl=*/false);
 }
 
 void SocketTransport::send_ctrl(int dst, const CtrlMsg& m) {
   std::vector<std::byte> frame;
   wire::encode_ctrl(m, frame);
   if (dst >= 0) {
-    send_frame(static_cast<unsigned>(dst), frame, /*ctrl=*/true);
+    send_frame(static_cast<unsigned>(dst), frame.data(), frame.size(),
+               /*ctrl=*/true);
     return;
   }
   for (unsigned j = 0; j < nprocs_; ++j) {
-    if (j != rank_) send_frame(j, frame, /*ctrl=*/true);
+    if (j != rank_) send_frame(j, frame.data(), frame.size(), /*ctrl=*/true);
   }
 }
 
@@ -253,35 +247,29 @@ std::size_t SocketTransport::parse_frames(unsigned src) {
   std::size_t off = 0;
   while (peer.rxbuf.size() - off >= wire::kFrameOverhead) {
     const std::byte* h = peer.rxbuf.data() + off;
-    std::uint32_t body_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      body_len |= static_cast<std::uint32_t>(h[i]) << (8 * i);
+    const std::uint32_t n = wire::frame_length(h);
+    if (n < wire::kFrameOverhead) {
+      throw wire::FrameError("socket transport: frame length " +
+                             std::to_string(n) + " out of range");
     }
-    if (body_len == 0) {
-      throw std::runtime_error("socket transport: zero-length frame");
-    }
-    if (peer.rxbuf.size() - off < 4u + body_len) break;  // partial frame
-    const std::uint8_t type = static_cast<std::uint8_t>(h[4]);
-    const std::byte* body = h + wire::kFrameOverhead;
-    const std::size_t body_bytes = body_len - 1;
+    // Nothing is allocated for a frame until all of it has arrived, so
+    // a hostile length costs at most the bytes actually received.
+    if (peer.rxbuf.size() - off < n) break;  // partial frame
     counters_.frames_in.fetch_add(1, std::memory_order_relaxed);
     ++frames;
-    if (type == wire::kFrameData) {
+    if (wire::frame_type(h) != wire::kFrameCtrl) {
       // The sink (fabric) stamps the origin's liveness on delivery.
-      net::Packet* p = wire::decode_packet(body, body_bytes);
-      if (sink_ != nullptr) {
-        sink_->deliver_remote(p);
-      } else {
-        delete p;
-      }
+      net::PacketPtr p(wire::decode_packet(h, n));
+      if (sink_ != nullptr) sink_->deliver_remote(p.release());
     } else {
-      const CtrlMsg m = wire::decode_ctrl(body, body_bytes);
+      const CtrlMsg m = wire::decode_ctrl(h + wire::kFrameOverhead,
+                                          n - wire::kFrameOverhead);
       if (liveness_enabled() && m.origin < nprocs_) {
         touch_liveness(static_cast<topo::NodeId>(m.origin), now_ns());
       }
       handle_ctrl(m);
     }
-    off += 4u + body_len;
+    off += n;
   }
   if (off > 0) {
     peer.rxbuf.erase(peer.rxbuf.begin(),

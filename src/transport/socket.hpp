@@ -6,8 +6,10 @@
 // brings up its listener first, then connects to all lower ranks
 // (retrying until their listeners appear), then accepts from all higher
 // ranks; a connector identifies itself with a 4-byte hello.  Writes are
-// blocking and serialized per peer, so a frame is never interleaved;
-// reads are non-blocking drains in poll().
+// blocking and serialized per peer, so a frame is never interleaved — a
+// data frame is the packet buffer, written with one send; reads are
+// non-blocking drains in poll(), and each complete data frame is copied
+// once from the stream buffer into a packet (transport/wire.hpp).
 //
 // Liveness: the receiver stamps a frame's origin on arrival — on a
 // socket, hearing from a peer *is* the only evidence it is alive — so
@@ -54,7 +56,7 @@ class SocketTransport final : public Transport {
   std::string uds_path(unsigned rank) const;
   void connect_to(unsigned peer);
   void accept_from_higher();
-  void send_frame(unsigned dst, const std::vector<std::byte>& frame,
+  void send_frame(unsigned dst, const std::byte* frame, std::size_t bytes,
                   bool ctrl);
   std::size_t drain_peer(unsigned src);
   std::size_t parse_frames(unsigned src);

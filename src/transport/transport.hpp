@@ -6,10 +6,11 @@
 // A Transport owns four things:
 //
 //   * the *data plane*: inject() ships a fabric Packet whose destination
-//     endpoint lives in another OS process; poll() drains inbound frames
-//     and hands reassembled packets to the DeliverySink (the fabric),
-//     which performs the local reception-FIFO handoff exactly as for an
-//     in-process transfer;
+//     endpoint lives in another OS process — the packet buffer is the
+//     frame (transport/wire.hpp); poll() drains inbound frames, copies
+//     each into a packet from the polling thread's pool and hands it to
+//     the DeliverySink (the fabric), which performs the local
+//     reception-FIFO handoff exactly as for an in-process transfer;
 //   * the *control plane*: small reliable ordered frames the machine
 //     layer uses for its distributed services (barrier merges, stop,
 //     checkpoint blobs).  Control frames bypass the chaos layer — they
@@ -192,7 +193,7 @@ class InProcTransport final : public Transport {
   bool endpoint_local(topo::NodeId) const noexcept override { return true; }
 
   void inject(net::Packet* p) override {
-    delete p;
+    p->release();
     throw std::logic_error(
         "InProcTransport::inject: every endpoint is local");
   }

@@ -1,27 +1,31 @@
-// Length-prefixed frame codec shared by the shared-memory and socket
-// transports.
+// Frame formats shared by the shared-memory and socket transports.
 //
-// Frame layout on the wire / in a ring:
+// Every frame in a ring or on a stream starts with the same prefix:
 //
-//   u32  body_len          (bytes after this field)
-//   u8   frame type        (kFrameData | kFrameCtrl)
-//   ...  body
+//   u32  frame_bytes   (the whole frame, this field included)
+//   u8   type          (a TransferKind for data frames, kFrameCtrl)
 //
-// A data body is a serialized fabric Packet — every field the receiver
-// acts on, including the reliability protocol's seq/flags/acks/checksum
-// and the causal-trace cid sidecar, so the PAMI layers on both sides see
-// exactly the packets an in-process run would.  RDMA kinds are never
-// encoded: raw pointers cannot cross address spaces, and the machine
-// layer forces the eager protocol for remote-process destinations.
+// A data frame is a net::Packet buffer pushed as-is: header, metadata,
+// payload and acks, so its prefix is the header's `frame_bytes` and
+// `kind`.  There is no data codec.  The receiver validates the header
+// against the frame size before it allocates anything, takes one packet
+// buffer from its own pool and copies the frame in once (packet_for).
+// Only mem-FIFO packets travel: raw RDMA pointers cannot cross address
+// spaces, and the machine layer forces the eager protocol for
+// remote-process destinations.
 //
-// Fixed little-endian-style byte order via explicit shifts: both ends of
-// a job run on the same host today, but a codec that depends on host
-// endianness would silently break the first multi-host run.
+// A ctrl frame carries one CtrlMsg through a small field-by-field codec;
+// ctrl traffic is rare and carries variable-length blobs.
+//
+// Byte order is the host's, pinned little-endian at compile time: both
+// ends of a job run on one host today, and a big-endian port would fail
+// to build instead of silently misreading frames.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -30,66 +34,105 @@
 
 namespace bgq::transport::wire {
 
-constexpr std::uint8_t kFrameData = 0;
-constexpr std::uint8_t kFrameCtrl = 1;
+static_assert(std::endian::native == std::endian::little,
+              "frames are host-order buffers; this host must be little-endian");
 
-/// Frame header bytes preceding the body: u32 length + u8 type.
+constexpr std::uint8_t kFrameData =
+    static_cast<std::uint8_t>(net::TransferKind::kMemFifo);
+/// Ctrl frames' type byte: no TransferKind uses it.
+constexpr std::uint8_t kFrameCtrl = 0x80;
+
+/// The prefix every frame starts with: u32 length + u8 type.
 constexpr std::size_t kFrameOverhead = 5;
 
-inline void put_u16(std::vector<std::byte>& o, std::uint16_t v) {
-  o.push_back(static_cast<std::byte>(v & 0xff));
-  o.push_back(static_cast<std::byte>(v >> 8));
+/// A frame that is malformed — corrupt or hostile input from another
+/// process.  Thrown before anything is allocated for it.
+class FrameError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// The prefix of the frame at `p` (at least kFrameOverhead bytes).
+inline std::uint32_t frame_length(const std::byte* p) noexcept {
+  std::uint32_t n;
+  std::memcpy(&n, p, sizeof(n));
+  return n;
 }
-inline void put_u32(std::vector<std::byte>& o, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    o.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-inline void put_u64(std::vector<std::byte>& o, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    o.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-inline void put_bytes(std::vector<std::byte>& o, const std::byte* p,
-                      std::size_t n) {
-  o.insert(o.end(), p, p + n);
+inline std::uint8_t frame_type(const std::byte* p) noexcept {
+  return static_cast<std::uint8_t>(p[4]);
 }
 
-/// Bounds-checked cursor over a received body: a frame off the wire can
-/// be anything, so truncation must be a loud error, not a wild read.
+/// The bytes a transport ships for packet `p`: the packet buffer itself.
+inline std::span<const std::byte> frame_of(const net::Packet& p) {
+  if (p.kind != net::TransferKind::kMemFifo) {
+    throw std::logic_error(
+        "transport wire: RDMA transfers cannot cross processes");
+  }
+  return {p.frame(), p.frame_bytes};
+}
+
+/// Validate the header of a data frame of `frame_bytes` — `head` holds
+/// its first min(frame_bytes, sizeof(net::Packet)) bytes — then return a
+/// fresh packet from the calling thread's pool with that header copied
+/// in.  The caller copies the body (frame_bytes - header bytes) after
+/// it.  Every length is checked against the frame size first, so a
+/// hostile frame cannot make the receiver allocate or read past it.
+inline net::Packet* packet_for(const std::byte* head,
+                               std::size_t frame_bytes) {
+  if (frame_bytes < sizeof(net::Packet)) {
+    throw FrameError("transport wire: data frame shorter than a header");
+  }
+  net::Packet h;
+  std::memcpy(static_cast<void*>(&h), head, sizeof(h));
+  if (h.kind != net::TransferKind::kMemFifo) {
+    throw FrameError("transport wire: data frame kind is not mem-FIFO");
+  }
+  const std::uint64_t body = std::uint64_t{h.meta_bytes} + h.payload_bytes +
+                             std::uint64_t{h.nacks} * sizeof(std::uint64_t);
+  if (h.frame_bytes != frame_bytes ||
+      sizeof(net::Packet) + body != frame_bytes) {
+    throw FrameError(
+        "transport wire: data frame lengths disagree with its size");
+  }
+  net::Packet* p = net::Packet::create_frame(frame_bytes);
+  std::memcpy(static_cast<void*>(p), &h, sizeof(h));
+  return p;
+}
+
+/// Validate a whole data frame and copy it into a fresh packet.
+inline net::Packet* decode_packet(const std::byte* frame, std::size_t n) {
+  net::Packet* p = packet_for(frame, n);
+  std::memcpy(p->body(), frame + sizeof(net::Packet), p->body_bytes());
+  return p;
+}
+
+// ---- ctrl frames ------------------------------------------------------------
+
+inline void put_u16(std::vector<std::byte>& o, std::uint16_t v) {
+  const auto* b = reinterpret_cast<const std::byte*>(&v);
+  o.insert(o.end(), b, b + sizeof(v));
+}
+inline void put_u32(std::vector<std::byte>& o, std::uint32_t v) {
+  const auto* b = reinterpret_cast<const std::byte*>(&v);
+  o.insert(o.end(), b, b + sizeof(v));
+}
+inline void put_u64(std::vector<std::byte>& o, std::uint64_t v) {
+  const auto* b = reinterpret_cast<const std::byte*>(&v);
+  o.insert(o.end(), b, b + sizeof(v));
+}
+
+/// Bounds-checked cursor over a received ctrl body: a frame off the wire
+/// can be anything, so truncation must be a loud error, not a wild read.
 class Reader {
  public:
   Reader(const std::byte* p, std::size_t n) : p_(p), n_(n) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(p_[pos_++]);
-  }
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v |= static_cast<std::uint16_t>(p_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
+  template <typename T>
+  T get() {
+    T v;
+    need(sizeof(v));
+    std::memcpy(&v, p_ + pos_, sizeof(v));
+    pos_ += sizeof(v);
     return v;
   }
   std::vector<std::byte> bytes(std::size_t n) {
@@ -98,12 +141,11 @@ class Reader {
     pos_ += n;
     return out;
   }
-  std::size_t remaining() const noexcept { return n_ - pos_; }
 
  private:
   void need(std::size_t n) const {
-    if (pos_ + n > n_) {
-      throw std::runtime_error("transport wire: truncated frame");
+    if (n > n_ - pos_) {
+      throw FrameError("transport wire: truncated frame");
     }
   }
   const std::byte* p_;
@@ -111,67 +153,10 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Append one framed data packet to `out`.
-inline void encode_packet(const net::Packet& p, std::vector<std::byte>& out) {
-  if (p.kind != net::TransferKind::kMemFifo) {
-    throw std::logic_error(
-        "transport wire: RDMA transfers cannot cross processes");
-  }
-  const std::size_t mark = out.size();
-  put_u32(out, 0);  // body length, patched below
-  out.push_back(static_cast<std::byte>(kFrameData));
-  put_u32(out, static_cast<std::uint32_t>(p.src));
-  put_u32(out, static_cast<std::uint32_t>(p.dst));
-  put_u16(out, p.dispatch);
-  put_u16(out, p.rec_fifo);
-  put_u16(out, p.src_ctx);
-  out.push_back(static_cast<std::byte>(p.flags));
-  put_u64(out, p.seq);
-  put_u64(out, p.checksum);
-  put_u64(out, p.cid);
-  put_u64(out, p.wire_ns);
-  put_u32(out, p.num_packets);
-  put_u32(out, static_cast<std::uint32_t>(p.metadata.size()));
-  put_bytes(out, p.metadata.data(), p.metadata.size());
-  put_u32(out, static_cast<std::uint32_t>(p.payload.size()));
-  put_bytes(out, p.payload.data(), p.payload.size());
-  put_u32(out, static_cast<std::uint32_t>(p.acks.size()));
-  for (const std::uint64_t a : p.acks) put_u64(out, a);
-  const std::uint32_t body =
-      static_cast<std::uint32_t>(out.size() - mark - 4);
-  for (int i = 0; i < 4; ++i) {
-    out[mark + i] = static_cast<std::byte>((body >> (8 * i)) & 0xff);
-  }
-}
-
-/// Decode a data body (after the type byte) into a fresh Packet.
-inline net::Packet* decode_packet(const std::byte* body, std::size_t n) {
-  Reader r(body, n);
-  auto p = std::make_unique<net::Packet>();
-  p->kind = net::TransferKind::kMemFifo;
-  p->src = static_cast<topo::NodeId>(r.u32());
-  p->dst = static_cast<topo::NodeId>(r.u32());
-  p->dispatch = r.u16();
-  p->rec_fifo = r.u16();
-  p->src_ctx = r.u16();
-  p->flags = r.u8();
-  p->seq = r.u64();
-  p->checksum = r.u64();
-  p->cid = r.u64();
-  p->wire_ns = r.u64();
-  p->num_packets = r.u32();
-  p->metadata = r.bytes(r.u32());
-  p->payload = r.bytes(r.u32());
-  const std::uint32_t nacks = r.u32();
-  p->acks.reserve(nacks);
-  for (std::uint32_t i = 0; i < nacks; ++i) p->acks.push_back(r.u64());
-  return p.release();
-}
-
 /// Append one framed control message to `out`.
 inline void encode_ctrl(const CtrlMsg& m, std::vector<std::byte>& out) {
   const std::size_t mark = out.size();
-  put_u32(out, 0);
+  put_u32(out, 0);  // frame length, patched below
   out.push_back(static_cast<std::byte>(kFrameCtrl));
   put_u16(out, m.type);
   put_u32(out, m.origin);
@@ -179,23 +164,21 @@ inline void encode_ctrl(const CtrlMsg& m, std::vector<std::byte>& out) {
   put_u64(out, m.b);
   put_u64(out, m.c);
   put_u32(out, static_cast<std::uint32_t>(m.blob.size()));
-  put_bytes(out, m.blob.data(), m.blob.size());
-  const std::uint32_t body =
-      static_cast<std::uint32_t>(out.size() - mark - 4);
-  for (int i = 0; i < 4; ++i) {
-    out[mark + i] = static_cast<std::byte>((body >> (8 * i)) & 0xff);
-  }
+  out.insert(out.end(), m.blob.begin(), m.blob.end());
+  const auto n = static_cast<std::uint32_t>(out.size() - mark);
+  std::memcpy(out.data() + mark, &n, sizeof(n));
 }
 
+/// Decode a ctrl body (the frame after its kFrameOverhead prefix).
 inline CtrlMsg decode_ctrl(const std::byte* body, std::size_t n) {
   Reader r(body, n);
   CtrlMsg m;
-  m.type = r.u16();
-  m.origin = r.u32();
-  m.a = r.u64();
-  m.b = r.u64();
-  m.c = r.u64();
-  m.blob = r.bytes(r.u32());
+  m.type = r.get<std::uint16_t>();
+  m.origin = r.get<std::uint32_t>();
+  m.a = r.get<std::uint64_t>();
+  m.b = r.get<std::uint64_t>();
+  m.c = r.get<std::uint64_t>();
+  m.blob = r.bytes(r.get<std::uint32_t>());
   return m;
 }
 

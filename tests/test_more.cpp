@@ -35,14 +35,13 @@ TEST(FabricEndpoints, SameNodeLoopbackPaysOnlyBaseLatency) {
   Torus t({2});
   Fabric f(t, NetworkParams{}, 1, 2);
   auto send = [&](bgq::topo::NodeId dst) {
-    auto* p = new Packet();
+    Packet* p = Packet::create(0, 32);
     p->src = 0;
     p->dst = dst;
-    p->payload.resize(32);
     f.inject(p);
     Packet* got = f.reception_fifo(dst, 0).poll();
     const auto w = got->wire_ns;
-    delete got;
+    got->release();
     return w;
   };
   const auto same_node = send(1);   // endpoint 1: node 0 (loopback)

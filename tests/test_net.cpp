@@ -26,6 +26,16 @@ std::vector<std::byte> bytes_of(const char* s) {
   return v;
 }
 
+/// A mem-FIFO packet from endpoint `src` to `dst` with a zeroed payload.
+Packet* make_packet(bgq::topo::NodeId src, bgq::topo::NodeId dst,
+                    std::size_t payload_bytes = 0) {
+  Packet* p = Packet::create(0, payload_bytes);
+  p->src = src;
+  p->dst = dst;
+  std::memset(p->payload(), 0, payload_bytes);
+  return p;
+}
+
 TEST(NetworkParams, PacketCountRoundsUp) {
   NetworkParams p;
   EXPECT_EQ(p.packets_for(0), 1u);
@@ -57,23 +67,21 @@ TEST(Fabric, MemFifoDeliversToCorrectNodeAndFifo) {
   Torus t({2, 2});
   Fabric f(t, NetworkParams{}, /*rec_fifos_per_node=*/2);
 
-  auto* p = new Packet();
-  p->kind = TransferKind::kMemFifo;
-  p->src = 0;
-  p->dst = 3;
+  Packet* p = make_packet(0, 3, 5);
   p->rec_fifo = 1;
   p->dispatch = 7;
-  p->payload = bytes_of("hello");
+  std::memcpy(p->payload(), "hello", 5);
   f.inject(p);
 
   EXPECT_EQ(f.reception_fifo(3, 0).poll(), nullptr);
   Packet* got = f.reception_fifo(3, 1).poll();
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->dispatch, 7);
-  EXPECT_EQ(got->payload.size(), 5u);
+  EXPECT_EQ(got->payload_bytes, 5u);
+  EXPECT_EQ(std::memcmp(got->payload(), "hello", 5), 0);
   EXPECT_GT(got->wire_ns, 0u);
   EXPECT_EQ(got->num_packets, 1u);
-  delete got;
+  got->release();
 
   EXPECT_EQ(f.transfers(), 1u);
 }
@@ -83,14 +91,10 @@ TEST(Fabric, WireTimeReflectsHopDistance) {
   Fabric f(t, NetworkParams{}, 1);
 
   auto send = [&](bgq::topo::NodeId dst) {
-    auto* p = new Packet();
-    p->src = 0;
-    p->dst = dst;
-    p->payload.resize(32);
-    f.inject(p);
+    f.inject(make_packet(0, dst, 32));
     Packet* got = f.reception_fifo(dst, 0).poll();
     const std::uint64_t w = got->wire_ns;
-    delete got;
+    got->release();
     return w;
   };
   EXPECT_LT(send(1), send(4));  // 1 hop vs 4 hops
@@ -104,21 +108,19 @@ TEST(Fabric, RdmaReadCopiesRemoteBuffer) {
   std::vector<std::byte> dst_buf(src_buf.size());
 
   bool completed = false;
-  auto* p = new Packet();
-  p->kind = TransferKind::kRdmaRead;
+  Packet* p = Packet::create_rdma(TransferKind::kRdmaRead, src_buf.data(),
+                                  dst_buf.data(), src_buf.size(),
+                                  [&completed] { completed = true; });
   p->src = 1;  // data source
   p->dst = 0;  // requester, receives completion
-  p->rdma_src = src_buf.data();
-  p->rdma_dst = dst_buf.data();
-  p->rdma_bytes = src_buf.size();
-  p->on_delivered = [&] { completed = true; };
   f.inject(p);
 
   Packet* got = f.reception_fifo(0, 0).poll();
   ASSERT_NE(got, nullptr);
-  ASSERT_TRUE(got->on_delivered != nullptr);
-  got->on_delivered();
-  delete got;
+  ASSERT_NE(got->rdma().run, nullptr);
+  EXPECT_FALSE(completed) << "the completion runs on the receiver's poll";
+  got->complete();
+  got->release();
 
   EXPECT_TRUE(completed);
   EXPECT_EQ(std::memcmp(dst_buf.data(), src_buf.data(), src_buf.size()), 0);
@@ -129,27 +131,20 @@ TEST(Fabric, RdmaReadPaysSetupRoundTrip) {
   Fabric f(t, NetworkParams{}, 1);
   std::vector<std::byte> buf(256);
 
-  auto* eager = new Packet();
-  eager->src = 0;
-  eager->dst = 1;
-  eager->payload.resize(256);
-  f.inject(eager);
+  f.inject(make_packet(0, 1, 256));
   Packet* e = f.reception_fifo(1, 0).poll();
 
-  auto* rd = new Packet();
-  rd->kind = TransferKind::kRdmaRead;
+  // A copy of size 0 keeps src == dst harmless.
+  Packet* rd = Packet::create_rdma(TransferKind::kRdmaRead, buf.data(),
+                                   buf.data(), 0, {});
   rd->src = 0;
   rd->dst = 1;
-  rd->rdma_src = buf.data();
-  rd->rdma_dst = buf.data();
-  rd->rdma_bytes = 0;  // copy of size 0 keeps src==dst harmless
-  rd->rdma_bytes = 0;
   f.inject(rd);
   Packet* r = f.reception_fifo(1, 0).poll();
 
   EXPECT_GT(r->wire_ns, e->wire_ns) << "rget adds request round trip";
-  delete e;
-  delete r;
+  e->release();
+  r->release();
 }
 
 TEST(Fabric, PacketArrivalWakesGate) {
@@ -161,7 +156,7 @@ TEST(Fabric, PacketArrivalWakesGate) {
   std::thread commthread([&] {
     for (;;) {
       if (Packet* p = fifo.poll()) {
-        delete p;
+        p->release();
         got_packet.store(true);
         return;
       }
@@ -175,10 +170,7 @@ TEST(Fabric, PacketArrivalWakesGate) {
   });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto* p = new Packet();
-  p->src = 0;
-  p->dst = 1;
-  f.inject(p);
+  f.inject(make_packet(0, 1));
   commthread.join();
   EXPECT_TRUE(got_packet.load());
 }
@@ -186,13 +178,7 @@ TEST(Fabric, PacketArrivalWakesGate) {
 TEST(Fabric, StatsAccumulate) {
   Torus t({2});
   Fabric f(t, NetworkParams{}, 1);
-  for (int i = 0; i < 3; ++i) {
-    auto* p = new Packet();
-    p->src = 0;
-    p->dst = 1;
-    p->payload.resize(1024);
-    f.inject(p);
-  }
+  for (int i = 0; i < 3; ++i) f.inject(make_packet(0, 1, 1024));
   EXPECT_EQ(f.transfers(), 3u);
   EXPECT_EQ(f.network_packets(), 6u);  // 1024 B = 2 packets each
   EXPECT_EQ(f.bytes_moved(), 3u * 1024u);
@@ -211,12 +197,7 @@ TEST(Fabric, ZeroFifosRejected) {
 using bgq::net::FaultPlan;
 
 Packet* make_mem_packet(std::size_t payload_bytes = 32) {
-  auto* p = new Packet();
-  p->kind = TransferKind::kMemFifo;
-  p->src = 0;
-  p->dst = 1;
-  p->payload.resize(payload_bytes);
-  return p;
+  return make_packet(0, 1, payload_bytes);
 }
 
 TEST(FaultPlan, ParsesFullSpec) {
@@ -265,7 +246,7 @@ TEST(FaultyFabric, DuplicateDeliversTwice) {
   int delivered = 0;
   while (Packet* p = f.reception_fifo(1, 0).poll()) {
     ++delivered;
-    delete p;
+    p->release();
   }
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(f.faults_duplicated(), 1u);
@@ -284,7 +265,7 @@ TEST(FaultyFabric, BitflipCorruptsChecksummedPayload) {
   EXPECT_NE(bgq::net::packet_checksum(*got), clean)
       << "one flipped bit must change the checksum";
   EXPECT_EQ(f.faults_corrupted(), 1u);
-  delete got;
+  got->release();
 }
 
 TEST(FaultyFabric, DelayedPacketMaturesOnLaterInjects) {
@@ -305,7 +286,7 @@ TEST(FaultyFabric, DelayedPacketMaturesOnLaterInjects) {
   Packet* got = f.reception_fifo(1, 0).poll();
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->dispatch, 11);
-  delete got;
+  got->release();
   // Fabric destructor frees the still-delayed second packet (ASan checks).
 }
 
@@ -314,17 +295,14 @@ TEST(FaultyFabric, RdmaTransfersAreNeverFaulted) {
   Fabric f(t, NetworkParams{}, 1);
   f.set_fault_plan(FaultPlan::parse("drop=1.0,dup=1.0,delay=1.0"));
   std::vector<std::byte> src_buf = bytes_of("dma"), dst_buf(3);
-  auto* p = new Packet();
-  p->kind = TransferKind::kRdmaWrite;
+  Packet* p = Packet::create_rdma(TransferKind::kRdmaWrite, src_buf.data(),
+                                  dst_buf.data(), src_buf.size(), {});
   p->src = 0;
   p->dst = 1;
-  p->rdma_src = src_buf.data();
-  p->rdma_dst = dst_buf.data();
-  p->rdma_bytes = src_buf.size();
   f.inject(p);
   Packet* got = f.reception_fifo(1, 0).poll();
   ASSERT_NE(got, nullptr) << "RDMA models the MU DMA engine: reliable";
-  delete got;
+  got->release();
   EXPECT_EQ(std::memcmp(dst_buf.data(), src_buf.data(), 3), 0);
   EXPECT_EQ(f.faults_dropped(), 0u);
 }
@@ -337,7 +315,7 @@ TEST(FaultyFabric, RejectOnFullRefusesIntoFullFifo) {
   int delivered = 0;
   while (Packet* p = f.reception_fifo(1, 0).poll()) {
     ++delivered;
-    delete p;
+    p->release();
   }
   // The lockless ring holds capacity-1 entries; everything beyond it was
   // refused and counted.
@@ -353,7 +331,7 @@ TEST(FaultyFabric, LosslessModeSpillsBeyondCapacityAndCounts) {
   int delivered = 0;
   while (Packet* p = f.reception_fifo(1, 0).poll()) {
     ++delivered;
-    delete p;
+    p->release();
   }
   EXPECT_EQ(delivered, 10) << "default fabric is lossless: spills, not drops";
   EXPECT_GT(f.fifo_spills(), 0u);
@@ -370,7 +348,7 @@ TEST(FaultyFabric, SeededPlanIsDeterministic) {
     int delivered = 0;
     while (Packet* p = f.reception_fifo(1, 0).poll()) {
       ++delivered;
-      delete p;
+      p->release();
     }
     return std::tuple{delivered, f.faults_dropped(), f.faults_duplicated(),
                       f.faults_delayed()};
@@ -389,7 +367,7 @@ TEST(FaultyFabric, DisabledPlanRemovesChaosLayer) {
   f.inject(make_mem_packet());
   Packet* got = f.reception_fifo(1, 0).poll();
   ASSERT_NE(got, nullptr);
-  delete got;
+  got->release();
 }
 
 }  // namespace

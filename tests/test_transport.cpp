@@ -2,7 +2,8 @@
 //
 // Three layers of checks, cheapest first:
 //
-//   * the wire codec and the Config grammar (pure functions);
+//   * the wire frames (packet buffers, hostile-frame rejection, the ctrl
+//     codec) and the Config grammar (pure functions);
 //   * direct backend contracts — delivery, per-pair ordering, the
 //     control plane, shared liveness/death state, ring-full
 //     backpressure — driven on transport pairs living in this process
@@ -21,7 +22,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -46,6 +49,7 @@ using bgq::cvs::MachineConfig;
 using bgq::cvs::Mode;
 using bgq::cvs::Pe;
 using bgq::net::Packet;
+using bgq::net::PacketPtr;
 using bgq::net::TransferKind;
 using bgq::transport::Config;
 using bgq::transport::CtrlMsg;
@@ -75,7 +79,7 @@ Config pair_config(Kind kind, unsigned nprocs, unsigned rank,
 /// Sink that keeps every delivered packet (order-preserving).
 struct CaptureSink final : DeliverySink {
   std::mutex mu;
-  std::vector<std::unique_ptr<Packet>> got;
+  std::vector<PacketPtr> got;
   void deliver_remote(Packet* p) override {
     std::lock_guard<std::mutex> lock(mu);
     got.emplace_back(p);
@@ -104,15 +108,13 @@ struct CtrlCapture {
 
 Packet* make_packet(unsigned src, unsigned dst, std::uint64_t seq,
                     std::size_t payload_bytes = 32) {
-  auto* p = new Packet;
-  p->kind = TransferKind::kMemFifo;
+  Packet* p = Packet::create(0, payload_bytes);
   p->src = static_cast<bgq::topo::NodeId>(src);
   p->dst = static_cast<bgq::topo::NodeId>(dst);
   p->dispatch = 7;
   p->seq = seq;
-  p->payload.resize(payload_bytes);
   for (std::size_t i = 0; i < payload_bytes; ++i) {
-    p->payload[i] = static_cast<std::byte>((seq * 131 + i) & 0xff);
+    p->payload()[i] = static_cast<std::byte>((seq * 131 + i) & 0xff);
   }
   p->checksum = bgq::net::packet_checksum(*p);
   return p;
@@ -131,61 +133,72 @@ bool poll_until(Transport& t, Pred done,
   return true;
 }
 
-// ---- wire codec -----------------------------------------------------------
+// ---- wire frames -----------------------------------------------------------
+
+namespace wire = bgq::transport::wire;
+using wire::FrameError;
+
+/// A fully populated mem-FIFO packet: every header field set, 11 bytes of
+/// metadata, 300 of payload and 3 acks.
+PacketPtr sample_packet() {
+  PacketPtr p(Packet::create(11, 300, 3));
+  p->src = 3;
+  p->dst = 1;
+  p->dispatch = 0x1234;
+  p->rec_fifo = 2;
+  p->src_ctx = 5;
+  p->flags = bgq::net::kPktReliable;
+  p->seq = 0x1122334455667788ull;
+  p->cid = 42;
+  p->wire_ns = 1234567;
+  p->num_packets = 9;
+  for (int i = 0; i < 11; ++i) p->metadata()[i] = std::byte(i);
+  for (int i = 0; i < 300; ++i) p->payload()[i] = std::byte(i & 0xff);
+  p->set_ack(0, 1);
+  p->set_ack(1, 2);
+  p->set_ack(2, 1000000007);
+  p->checksum = bgq::net::packet_checksum(*p);
+  return p;
+}
+
+/// The frame of `p` as a byte vector (what a ring or socket carries).
+std::vector<std::byte> frame_bytes(const Packet& p) {
+  const auto f = wire::frame_of(p);
+  return {f.begin(), f.end()};
+}
 
 TEST(Wire, PacketRoundTripPreservesEveryField) {
-  Packet p;
-  p.kind = TransferKind::kMemFifo;
-  p.src = 3;
-  p.dst = 1;
-  p.dispatch = 0x1234;
-  p.rec_fifo = 2;
-  p.src_ctx = 5;
-  p.flags = bgq::net::kPktReliable;
-  p.seq = 0x1122334455667788ull;
-  p.checksum = 0xCAFEBABEDEADBEEFull;
-  p.cid = 42;
-  p.wire_ns = 1234567;
-  p.num_packets = 9;
-  for (int i = 0; i < 11; ++i) p.metadata.push_back(std::byte(i));
-  for (int i = 0; i < 300; ++i) p.payload.push_back(std::byte(i & 0xff));
-  p.acks = {1, 2, 1000000007};
+  const PacketPtr p = sample_packet();
+  const std::vector<std::byte> frame = frame_bytes(*p);
 
-  std::vector<std::byte> frame;
-  bgq::transport::wire::encode_packet(p, frame);
+  // The buffer is the frame: header + metadata + payload + 8 B per ack,
+  // starting with the u32 length and the type byte every frame has.
+  ASSERT_EQ(frame.size(), sizeof(Packet) + 11 + 300 + 3 * 8);
+  EXPECT_EQ(wire::frame_length(frame.data()), frame.size());
+  EXPECT_EQ(wire::frame_type(frame.data()), wire::kFrameData);
 
-  // Frame header: u32 body length (counting the type byte) + type byte.
-  ASSERT_GT(frame.size(), bgq::transport::wire::kFrameOverhead);
-  std::uint32_t body_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    body_len |= static_cast<std::uint32_t>(frame[i]) << (8 * i);
-  }
-  EXPECT_EQ(body_len + 4u, frame.size());
-  EXPECT_EQ(static_cast<std::uint8_t>(frame[4]),
-            bgq::transport::wire::kFrameData);
-
-  std::unique_ptr<Packet> q(bgq::transport::wire::decode_packet(
-      frame.data() + bgq::transport::wire::kFrameOverhead,
-      frame.size() - bgq::transport::wire::kFrameOverhead));
+  const PacketPtr q(wire::decode_packet(frame.data(), frame.size()));
   EXPECT_EQ(q->kind, TransferKind::kMemFifo);
-  EXPECT_EQ(q->src, p.src);
-  EXPECT_EQ(q->dst, p.dst);
-  EXPECT_EQ(q->dispatch, p.dispatch);
-  EXPECT_EQ(q->rec_fifo, p.rec_fifo);
-  EXPECT_EQ(q->src_ctx, p.src_ctx);
-  EXPECT_EQ(q->flags, p.flags);
-  EXPECT_EQ(q->seq, p.seq);
-  EXPECT_EQ(q->checksum, p.checksum);
-  EXPECT_EQ(q->cid, p.cid);
-  EXPECT_EQ(q->wire_ns, p.wire_ns);
-  EXPECT_EQ(q->num_packets, p.num_packets);
-  EXPECT_EQ(q->metadata, p.metadata);
-  EXPECT_EQ(q->payload, p.payload);
-  EXPECT_EQ(q->acks, p.acks);
-  // The receiver re-verifies the checksum over what it decoded — codec
-  // transparency means recomputing on the decoded packet gives the same
-  // value as on the original.
-  EXPECT_EQ(bgq::net::packet_checksum(*q), bgq::net::packet_checksum(p));
+  EXPECT_EQ(q->src, p->src);
+  EXPECT_EQ(q->dst, p->dst);
+  EXPECT_EQ(q->dispatch, p->dispatch);
+  EXPECT_EQ(q->rec_fifo, p->rec_fifo);
+  EXPECT_EQ(q->src_ctx, p->src_ctx);
+  EXPECT_EQ(q->flags, p->flags);
+  EXPECT_EQ(q->seq, p->seq);
+  EXPECT_EQ(q->checksum, p->checksum);
+  EXPECT_EQ(q->cid, p->cid);
+  EXPECT_EQ(q->wire_ns, p->wire_ns);
+  EXPECT_EQ(q->num_packets, p->num_packets);
+  ASSERT_EQ(q->meta_bytes, p->meta_bytes);
+  ASSERT_EQ(q->payload_bytes, p->payload_bytes);
+  ASSERT_EQ(q->nacks, p->nacks);
+  EXPECT_EQ(std::memcmp(q->metadata(), p->metadata(), p->meta_bytes), 0);
+  EXPECT_EQ(std::memcmp(q->payload(), p->payload(), p->payload_bytes), 0);
+  for (std::size_t i = 0; i < p->nacks; ++i) EXPECT_EQ(q->ack(i), p->ack(i));
+  // The receiver re-verifies the checksum over what it received: the
+  // copy is transparent, so the value matches the sender's.
+  EXPECT_EQ(bgq::net::packet_checksum(*q), p->checksum);
 }
 
 TEST(Wire, CtrlRoundTrip) {
@@ -198,12 +211,11 @@ TEST(Wire, CtrlRoundTrip) {
   for (int i = 0; i < 1000; ++i) m.blob.push_back(std::byte(i * 7));
 
   std::vector<std::byte> frame;
-  bgq::transport::wire::encode_ctrl(m, frame);
-  EXPECT_EQ(static_cast<std::uint8_t>(frame[4]),
-            bgq::transport::wire::kFrameCtrl);
-  const CtrlMsg d = bgq::transport::wire::decode_ctrl(
-      frame.data() + bgq::transport::wire::kFrameOverhead,
-      frame.size() - bgq::transport::wire::kFrameOverhead);
+  wire::encode_ctrl(m, frame);
+  EXPECT_EQ(wire::frame_length(frame.data()), frame.size());
+  EXPECT_EQ(wire::frame_type(frame.data()), wire::kFrameCtrl);
+  const CtrlMsg d = wire::decode_ctrl(frame.data() + wire::kFrameOverhead,
+                                      frame.size() - wire::kFrameOverhead);
   EXPECT_EQ(d.type, m.type);
   EXPECT_EQ(d.origin, m.origin);
   EXPECT_EQ(d.a, m.a);
@@ -216,20 +228,58 @@ TEST(Wire, TruncatedFrameIsALoudError) {
   CtrlMsg m;
   m.blob.resize(64);
   std::vector<std::byte> frame;
-  bgq::transport::wire::encode_ctrl(m, frame);
+  wire::encode_ctrl(m, frame);
   // Chop the body: the bounds-checked reader must throw, not wild-read.
-  EXPECT_THROW(bgq::transport::wire::decode_ctrl(
-                   frame.data() + bgq::transport::wire::kFrameOverhead,
-                   frame.size() - bgq::transport::wire::kFrameOverhead - 10),
-               std::runtime_error);
+  EXPECT_THROW(wire::decode_ctrl(frame.data() + wire::kFrameOverhead,
+                                 frame.size() - wire::kFrameOverhead - 10),
+               FrameError);
 }
 
 TEST(Wire, RdmaTransfersCannotBeEncoded) {
-  Packet p;
-  p.kind = TransferKind::kRdmaRead;
-  std::vector<std::byte> frame;
-  EXPECT_THROW(bgq::transport::wire::encode_packet(p, frame),
-               std::logic_error);
+  std::byte buf[8] = {};
+  const PacketPtr p(Packet::create_rdma(TransferKind::kRdmaRead, buf, buf,
+                                        sizeof buf, {}));
+  EXPECT_THROW(wire::frame_of(*p), std::logic_error);
+}
+
+TEST(Wire, DataFrameShorterThanAHeaderIsRejected) {
+  const std::vector<std::byte> frame = frame_bytes(*sample_packet());
+  for (const std::size_t n : {std::size_t{0}, std::size_t{5},
+                              sizeof(Packet) - 1}) {
+    EXPECT_THROW(wire::decode_packet(frame.data(), n), FrameError) << n;
+  }
+}
+
+TEST(Wire, DataFrameLengthsMustMatchTheFrameSize) {
+  const std::vector<std::byte> good = frame_bytes(*sample_packet());
+  // Each header length, inflated or deflated, disagrees with the frame:
+  // a huge ack count must be refused before anything is allocated.
+  const struct {
+    std::size_t offset;
+    std::uint64_t value;
+    std::size_t width;
+  } bad[] = {
+      {offsetof(Packet, nacks), 0xFFFF, 2},
+      {offsetof(Packet, nacks), 2, 2},
+      {offsetof(Packet, meta_bytes), 12, 2},
+      {offsetof(Packet, payload_bytes), 0xFFFFFFFF, 4},
+      {offsetof(Packet, frame_bytes), good.size() + 8, 4},
+  };
+  for (const auto& b : bad) {
+    std::vector<std::byte> frame = good;
+    std::memcpy(frame.data() + b.offset, &b.value, b.width);
+    EXPECT_THROW(wire::decode_packet(frame.data(), frame.size()), FrameError)
+        << "field at offset " << b.offset << " = " << b.value;
+  }
+  // A frame cut short of what its header promises is refused too.
+  EXPECT_THROW(wire::decode_packet(good.data(), good.size() - 8), FrameError);
+}
+
+TEST(Wire, DataFrameOfAnRdmaKindIsRejected) {
+  std::vector<std::byte> frame = frame_bytes(*sample_packet());
+  frame[offsetof(Packet, kind)] =
+      static_cast<std::byte>(TransferKind::kRdmaWrite);
+  EXPECT_THROW(wire::decode_packet(frame.data(), frame.size()), FrameError);
 }
 
 // ---- config grammar -------------------------------------------------------
@@ -348,7 +398,7 @@ void check_delivery_and_ordering(Transport& tx, Transport& rx) {
   for (std::uint64_t i = 0; i < kN; ++i) {
     const Packet& p = *sink.got[i];
     ASSERT_EQ(p.seq, i + 1);
-    EXPECT_EQ(p.payload.size(), 16 + ((i + 1) % 97));
+    EXPECT_EQ(p.payload_bytes, 16 + ((i + 1) % 97));
     EXPECT_EQ(bgq::net::packet_checksum(p), p.checksum);
   }
   EXPECT_EQ(tx.counters().injects.load(), kN);
