@@ -1,7 +1,6 @@
 #include "converse/machine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -44,6 +43,12 @@ std::uint64_t hop_ns(std::uint64_t now, std::uint64_t stamp) noexcept {
 /// How long a rank waits at the end of a multi-process run for peers to
 /// report quiesced before it tears its transport down anyway.
 constexpr std::uint64_t kQuiesceTimeoutNs = 1'000'000'000;
+
+/// Longest a parked transport poller sleeps without a doorbell ring.  It
+/// owns no context and no retransmit timer, so nothing is due when it
+/// wakes; the deadline only bounds the cost of a wakeup the handshake
+/// failed to deliver.
+constexpr std::uint64_t kPollerSafetyNetNs = 10'000'000;
 
 }  // namespace
 
@@ -220,6 +225,8 @@ void Pe::scheduler_loop() {
   const bool ft = mach.ft_armed();
   ft::Manager* mgr = ft ? mach.ft_manager() : nullptr;
   tram::Router* tr = mach.tram_router();
+  // From here to exit this worker drains the rank's transport inline.
+  if (owned_context_ != nullptr) owned_context_->join_drainers();
   bool idle = false;
   while (!mach.stopping()) {
     if (ft && mach.process_killed(process_.endpoint())) break;  // crashed
@@ -265,6 +272,7 @@ void Pe::scheduler_loop() {
   if (idle && ring_) {
     ring_->emit({now_ns(), 0, trace::EventKind::kIdleEnd});
   }
+  if (owned_context_ != nullptr) owned_context_->leave_drainers();
 }
 
 void Pe::exit_all() { machine().request_stop(); }
@@ -619,6 +627,14 @@ Machine::Machine(MachineConfig cfg)
     processes_.push_back(std::make_unique<Process>(
         *this, static_cast<pami::EndpointId>(p)));
   }
+  if (multiproc_) {
+    // Whoever advances a local context drains the rank's inbound frames
+    // itself when its reception FIFO runs dry (no poller handoff).
+    pami::Client& cl = processes_[cfg_.transport.rank]->client();
+    for (unsigned i = 0; i < cl.context_count(); ++i) {
+      cl.context(i).drain_transport(transport_.get());
+    }
+  }
 }
 
 Machine::~Machine() {
@@ -705,7 +721,7 @@ void Machine::worker_barrier(Pe* self) {
       barrier_slots_[me].n.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (multiproc_) {
     // Remote PEs' slots are fed by their ranks' kBarrier broadcasts (the
-    // poller merges them with a monotone max); ship ours out.
+    // ctrl handler merges them with a monotone max); ship ours out.
     transport::CtrlMsg bm;
     bm.type = ctrl::kBarrier;
     bm.a = me;
@@ -771,15 +787,20 @@ void Machine::run(const std::function<void(Pe&)>& init) {
     }
   }
   if (multiproc_) {
-    // The poller drains transport frames into local reception FIFOs and
-    // runs the ctrl handler; it must be live before the first barrier.
-    // Every inbound packet is allocated here, from the poller's own slot.
+    // The poller drains what the advancing threads leave — ctrl frames
+    // while they are busy, everything while none drains inline — and
+    // sleeps on the transport's doorbell in between.  It must be live
+    // before the first barrier; what it drains is allocated from its own
+    // pool slot.
     poller_stop_.store(false, std::memory_order_release);
     poller_ = std::thread([this] {
       Process& local = *processes_[cfg_.transport.rank];
       local.bind_thread(local.poller_slot_);
+      transport::Transport& tp = fabric_->transport();
       while (!poller_stop_.load(std::memory_order_acquire)) {
-        if (fabric_->progress() == 0) std::this_thread::yield();
+        if (fabric_->progress() == 0) {
+          tp.await_frames(poller_stop_, kPollerSafetyNetNs);
+        }
       }
     });
   }
@@ -810,12 +831,13 @@ void Machine::run(const std::function<void(Pe&)>& init) {
   for (auto& p : processes_) p->stop_comm_threads();
   if (multiproc_) {
     // Workers, comm threads and the FT monitor are gone: this rank
-    // injects nothing more.  Keep draining until the peers say the same
-    // (a blocked socket writer on the far side would wedge its shutdown
-    // otherwise).
-    quiesce_peers();
+    // injects nothing more.  The poller goes too; the handshake drains
+    // on this thread until the peers say the same (a blocked socket
+    // writer on the far side would wedge its shutdown otherwise).
     poller_stop_.store(true, std::memory_order_release);
+    fabric_->transport().wake_poller();
     if (poller_.joinable()) poller_.join();
+    quiesce_peers();
   }
 }
 
@@ -837,7 +859,7 @@ void Machine::quiesce_peers() {
     while (p != self &&
            quiesced_[p].load(std::memory_order_acquire) < run_gen_ &&
            !process_killed(p) && !process_dead(p) && now_ns() < deadline) {
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      if (fabric_->progress() == 0) std::this_thread::yield();
     }
   }
 }
@@ -932,6 +954,10 @@ trace::Report Machine::metrics_report() {
                      tc.ring_full.load(std::memory_order_relaxed));
   metrics_.set_gauge("net.transport.reconnects",
                      tc.reconnects.load(std::memory_order_relaxed));
+  metrics_.set_gauge("net.transport.frame_errors",
+                     tc.frame_errors.load(std::memory_order_relaxed));
+  metrics_.set_gauge("net.transport.doorbell_wakes",
+                     tc.doorbell_wakes.load(std::memory_order_relaxed));
 
   // Fault-tolerance counters: same stable-key-set policy — all zeros on a
   // run with no FT armed.

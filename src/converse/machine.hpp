@@ -278,7 +278,7 @@ class Process {
   };
   std::vector<ContextSend> context_sends_;
   /// Allocator slot of the transport poller (the last one; multi-process
-  /// jobs only — the poller allocates every inbound packet).
+  /// jobs only — the poller allocates the inbound packets it drains).
   alloc::ThreadId poller_slot_ = alloc::kNoSlot;
 };
 
@@ -484,7 +484,8 @@ class Machine {
   void write_flat_trace(std::ostream& os);
 
  private:
-  /// Inbound control frames (runs on the transport poller thread).
+  /// Inbound control frames (runs on whichever thread drains the
+  /// transport: the poller, or a worker or comm thread inline).
   void on_ctrl(const transport::CtrlMsg& m);
 
   /// note_sent reached the crash watermark `n`: wake the FT monitor and
@@ -494,11 +495,11 @@ class Machine {
   void await_crash(std::uint64_t n);
 
   /// End-of-run handshake (multi-process): once nothing on this rank
-  /// injects any more, broadcast kQuiesced and wait — the poller keeps
-  /// draining — until every peer has sent its own for this run, is dead
-  /// or declared dead, or a deadline passes.  Ctrl and data frames share
-  /// one FIFO per pair, so a peer's kQuiesced proves none of its frames
-  /// is still in flight.
+  /// injects any more and the poller has stopped, broadcast kQuiesced
+  /// and drain the transport on this thread until every peer has sent
+  /// its own for this run, is dead or declared dead, or a deadline
+  /// passes.  Ctrl and data frames share one FIFO per pair, so a peer's
+  /// kQuiesced proves none of its frames is still in flight.
   void quiesce_peers();
 
   MachineConfig cfg_;
@@ -519,12 +520,13 @@ class Machine {
   std::atomic<bool> stop_{false};
   std::atomic<bool> stop_sent_{false};
 
-  // Transport poller (multiproc only): drains inbound frames into local
-  // reception FIFOs and runs the ctrl handler for the whole run.
+  // Transport poller (multiproc only): for the whole run, drains what the
+  // threads advancing the contexts leave and sleeps on the transport's
+  // doorbell in between.
   std::thread poller_;
   std::atomic<bool> poller_stop_{false};
   // Quiesce handshake: run() calls so far, and per process the last run
-  // generation it reported quiesced (written by the poller).
+  // generation it reported quiesced (written by the ctrl handler).
   std::uint64_t run_gen_ = 0;
   std::vector<std::atomic<std::uint64_t>> quiesced_;
 

@@ -707,7 +707,7 @@ void Manager::do_checkpoint_multi(cvs::Pe& pe) {
     }
   } else {
     // Reopen our own phase; the leader's kCkptCommit (when there is one)
-    // was handled on the poller thread before its barrier bump reaches
+    // was handled by the transport drain before its barrier bump reaches
     // us, so there is nothing to wait for here.
     last_ckpt_ns_.store(now_ns(), std::memory_order_release);
     Phase expected = Phase::kCheckpoint;

@@ -104,7 +104,8 @@ class Manager {
   void on_killed(unsigned proc);
 
   /// FT control frames (ctrl::kFtBase and up) routed here by the machine
-  /// layer.  Runs on the transport poller thread.
+  /// layer.  Runs on whichever thread drains the transport (one at a
+  /// time, in per-pair FIFO order).
   void on_ctrl(const transport::CtrlMsg& m);
 
   /// Set when the watchdog fired with watchdog_abort == false.

@@ -12,8 +12,9 @@
 // host's real time measures pure software overhead (the thing the paper's
 // optimizations target); wire time is added analytically by the benches.
 // A background pacing thread would add host-scheduler noise larger than
-// the BG/Q wire times being modeled (this host has 1 core), so determinism
-// wins.  Congestion-sensitive, machine-scale timing lives in src/sim.
+// the BG/Q wire times being modeled (a few host cores, shared by every
+// runtime thread), so determinism wins.  Congestion-sensitive,
+// machine-scale timing lives in src/sim.
 #pragma once
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/cacheline.hpp"
 #include "net/fault.hpp"
 #include "net/packet.hpp"
 #include "net/params.hpp"
@@ -253,7 +255,11 @@ class Fabric : public transport::DeliverySink {
   std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport* transport_;  ///< never null after construction
 
-  std::atomic<std::uint64_t> transfers_{0};
+  // Every inject writes these, from every injecting thread.  Aligning the
+  // first one gives the block a line of its own, the object's tail
+  // padding included, so no read-mostly data shares it — neither this
+  // object's nor that of whatever the heap places next to it.
+  alignas(kL2Line) std::atomic<std::uint64_t> transfers_{0};
   std::atomic<std::uint64_t> net_packets_{0};
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> drops_{0};

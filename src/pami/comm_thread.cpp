@@ -68,6 +68,9 @@ void CommThreadPool::run(unsigned tid) {
     mine.push_back(contexts_[c]);
   }
 
+  // A comm thread drains its contexts' transport inline from waking to
+  // parking (Context::join_drainers; no-ops in a single-process job).
+  for (Context* c : mine) c->join_drainers();
   std::uint64_t idle_since = 0;  // 0: the last sweep found work
   while (!stop_.load(std::memory_order_acquire)) {
     BGQ_SCHED_POINT("comm.poll.sweep");
@@ -98,6 +101,9 @@ void CommThreadPool::run(unsigned tid) {
       gate.cancel_wait();
       continue;
     }
+    // Stop draining before the park; a frame still in a ring wakes the
+    // transport poller, whose delivery then wakes this gate.
+    for (Context* c : mine) c->leave_drainers();
     parks_.fetch_add(1, std::memory_order_relaxed);
     BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkBegin, tid);
     // With reliability timers armed (unacked packets / a backpressure
@@ -111,7 +117,9 @@ void CommThreadPool::run(unsigned tid) {
       gate.commit_wait(seen);
     }
     BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkEnd, tid);
+    for (Context* c : mine) c->join_drainers();
   }
+  for (Context* c : mine) c->leave_drainers();
 }
 
 }  // namespace bgq::pami

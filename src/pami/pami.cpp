@@ -134,6 +134,9 @@ std::size_t Context::advance(std::size_t max_events) {
       ++events;
       continue;
     }
+    // An empty FIFO: pull the rank's inbound frames into it, as a BG/Q
+    // context polls the MU reception FIFOs itself.
+    if (drain_ != nullptr && drain_->poll() != 0) continue;
     if (WorkItem* w = work_.try_dequeue()) {
       w->fn();
       delete w;

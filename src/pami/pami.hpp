@@ -12,7 +12,10 @@
 //   PAMI_Send           -> Context::send             (metadata + payload
 //                                                     descriptors)
 //   PAMI_Rget / Rput    -> Context::rget / rput      (one-sided RDMA)
-//   PAMI_Context_advance-> Context::advance          (poll FIFO + work)
+//   PAMI_Context_advance-> Context::advance          (poll FIFO + work;
+//                                                     multi-process ranks
+//                                                     also drain the
+//                                                     transport)
 //   work queues         -> Context::post_work        (lockless, executed by
 //                                                     the advancing thread)
 //
@@ -125,8 +128,27 @@ class Context {
             const net::Completion& remote_done = {});
 
   /// Poll this context: deliver arrived packets to dispatch callbacks, run
-  /// RDMA completions, execute posted work.  Returns events processed.
+  /// RDMA completions, execute posted work.  When the reception FIFO is
+  /// empty and the context drains a transport, pull the rank's inbound
+  /// frames first, as a BG/Q context polls the MU reception FIFOs itself.
+  /// Returns events processed.
   std::size_t advance(std::size_t max_events = SIZE_MAX);
+
+  /// Make advance() drain `t` (this rank's remote transport) whenever the
+  /// reception FIFO runs dry; nullptr (the default) turns it off.  Set
+  /// before any thread advances the context.
+  void drain_transport(transport::Transport* t) noexcept { drain_ = t; }
+
+  /// The advancing thread starts / stops counting as one of the rank's
+  /// inline drainers (Transport::join_drainers); no-ops unless the
+  /// context drains a transport.  A worker brackets its scheduler loop
+  /// with them, a comm thread each stretch between parks.
+  void join_drainers() noexcept {
+    if (drain_ != nullptr) drain_->join_drainers();
+  }
+  void leave_drainers() noexcept {
+    if (drain_ != nullptr) drain_->leave_drainers();
+  }
 
   /// Hand a closure to whichever thread advances this context (lockless
   /// MPSC; wakes the advancing thread if it is parked).
@@ -227,6 +249,7 @@ class Context {
 
   Client& client_;
   const std::uint16_t index_;
+  transport::Transport* drain_ = nullptr;  ///< what advance() drains, or null
 
   queue::L2AtomicQueue<WorkItem*> work_;
 

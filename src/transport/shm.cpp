@@ -19,7 +19,7 @@ namespace bgq::transport {
 
 namespace {
 
-constexpr std::uint64_t kShmMagic = 0x42475153484d3031ull;  // "BGQSHM01"
+constexpr std::uint64_t kShmMagic = 0x42475153484d3032ull;  // "BGQSHM02"
 constexpr unsigned kMaxShmEndpoints = 64;
 
 std::size_t align64(std::size_t n) { return (n + 63) & ~std::size_t{63}; }
@@ -30,7 +30,8 @@ std::string segment_path(const std::string& session) {
 
 }  // namespace
 
-/// Segment header: creation handshake + the job-shared liveness state.
+/// Segment header: creation handshake, the job-shared liveness state and
+/// one doorbell per rank.
 struct ShmHeader {
   std::uint64_t magic;
   std::uint32_t nprocs;
@@ -39,6 +40,7 @@ struct ShmHeader {
   std::atomic<std::uint32_t> attached;
   alignas(64) std::atomic<std::uint32_t> dead[kMaxShmEndpoints];
   alignas(64) std::atomic<std::uint64_t> last_heard[kMaxShmEndpoints];
+  Doorbell bells[kMaxShmEndpoints];
 };
 
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
@@ -140,6 +142,7 @@ ShmTransport::ShmTransport(const Config& cfg)
 
   tx_.resize(nprocs_);
   rx_.resize(nprocs_);
+  rx_closed_ = std::vector<std::atomic<bool>>(nprocs_);
   tx_mu_.resize(nprocs_);
   for (unsigned j = 0; j < nprocs_; ++j) {
     tx_[j] = ring_at(rank_, j);
@@ -183,11 +186,15 @@ void ShmTransport::push_frame(unsigned dst, const std::byte* frame,
         " (raise ring_kb)");
   }
   std::lock_guard<std::mutex> lock(*tx_mu_[dst]);
+  Doorbell& bell = hdr_->bells[dst];
   bool counted_full = false;
   while (!tx_[dst].try_push(frame, bytes)) {
     if (!counted_full) {
+      // The rank's drainers may be busy: its poller makes the room.
       counters_.ring_full.fetch_add(1, std::memory_order_relaxed);
       counted_full = true;
+      bell.ring();
+      note_wake();
     }
     // A dead consumer will never drain its ring; dropping mirrors the
     // in-process fabric's blackhole.  Control frames to a declared-dead
@@ -198,6 +205,9 @@ void ShmTransport::push_frame(unsigned dst, const std::byte* frame,
     }
     std::this_thread::yield();
   }
+  // Ctrl frames always wake the poller: the machine layer's services
+  // must not wait for a worker to finish its handler.
+  if (bell.notify(/*force=*/ctrl)) note_wake();
   counters_.bytes_out.fetch_add(bytes, std::memory_order_relaxed);
   if (ctrl) {
     counters_.ctrl_out.fetch_add(1, std::memory_order_relaxed);
@@ -272,9 +282,47 @@ std::size_t ShmTransport::poll() {
   counters_.polls.fetch_add(1, std::memory_order_relaxed);
   std::size_t frames = 0;
   for (unsigned i = 0; i < nprocs_; ++i) {
-    if (i != rank_) frames += drain_ring(i);
+    if (i == rank_ || rx_closed_[i].load(std::memory_order_relaxed)) continue;
+    try {
+      frames += drain_ring(i);
+    } catch (const wire::FrameError&) {
+      // The ring cannot be resynchronized past a bad frame.
+      rx_closed_[i].store(true, std::memory_order_relaxed);
+      note_frame_error(i);
+    }
   }
   return frames;
 }
+
+bool ShmTransport::frames_waiting() const noexcept {
+  for (unsigned i = 0; i < nprocs_; ++i) {
+    if (i != rank_ && !rx_closed_[i].load(std::memory_order_relaxed) &&
+        rx_[i].readable() != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void ShmTransport::note_wake() noexcept {
+  counters_.doorbell_wakes.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ShmTransport::join_drainers() noexcept { hdr_->bells[rank_].join(); }
+
+void ShmTransport::leave_drainers() noexcept {
+  if (hdr_->bells[rank_].leave([this] { return frames_waiting(); })) {
+    note_wake();
+  }
+}
+
+void ShmTransport::await_frames(const std::atomic<bool>& stop,
+                                std::uint64_t timeout_ns) {
+  hdr_->bells[rank_].park(
+      [&] { return stop.load(std::memory_order_acquire) || frames_waiting(); },
+      timeout_ns);
+}
+
+void ShmTransport::wake_poller() noexcept { hdr_->bells[rank_].ring(); }
 
 }  // namespace bgq::transport

@@ -10,8 +10,14 @@
 // discipline as the in-process fabric, just in a shared mapping.
 //
 // A data frame is the packet buffer itself: inject() is one try_push of
-// it, and the poller copies each inbound frame out of the ring once,
-// into a packet from its own pool slot (transport/wire.hpp).
+// it, and whichever thread drains copies each inbound frame out of the
+// ring once, into a packet from its own pool slot (transport/wire.hpp).
+//
+// Who drains: the threads that advance the rank's PAMI contexts poll the
+// rings from their own advance loop, as a BG/Q thread polls the MU
+// reception FIFOs.  The rank's poller thread sleeps on a futex doorbell
+// in the segment header (transport/doorbell.hpp) and is rung only for
+// ctrl frames, a full ring, or when no thread of the rank drains inline.
 //
 // Frames larger than the ring capacity can never be pushed; the
 // transport rejects them loudly (raise ring_kb) instead of deadlocking.
@@ -19,11 +25,13 @@
 // stall breaks if the consumer's endpoint is declared dead.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "transport/doorbell.hpp"
 #include "transport/shm_ring.hpp"
 #include "transport/transport.hpp"
 
@@ -47,6 +55,12 @@ class ShmTransport final : public Transport {
   std::size_t poll() override;
   void send_ctrl(int dst, const CtrlMsg& m) override;
 
+  void join_drainers() noexcept override;
+  void leave_drainers() noexcept override;
+  void await_frames(const std::atomic<bool>& stop,
+                    std::uint64_t timeout_ns) override;
+  void wake_poller() noexcept override;
+
   // Liveness and death state is shared across the job (segment header).
   void kill_endpoint(topo::NodeId ep) override;
   bool endpoint_dead(topo::NodeId ep) const noexcept override;
@@ -63,6 +77,10 @@ class ShmTransport final : public Transport {
   void push_frame(unsigned dst, const std::byte* frame, std::size_t bytes,
                   bool ctrl);
   std::size_t drain_ring(unsigned src);
+  /// Some open inbound ring holds a frame.
+  bool frames_waiting() const noexcept;
+  /// Count a doorbell ring (net.transport.doorbell_wakes).
+  void note_wake() noexcept;
 
   const unsigned rank_;
   const unsigned nprocs_;
@@ -74,10 +92,12 @@ class ShmTransport final : public Transport {
 
   std::vector<ShmRingView> tx_;  ///< ring(rank_ -> j), indexed by j
   std::vector<ShmRingView> rx_;  ///< ring(i -> rank_), indexed by i
+  /// rx_[i] sent a malformed frame and is no longer read.
+  std::vector<std::atomic<bool>> rx_closed_;
   /// Process-local producer serialization per outbound ring (workers and
   /// comm threads inject concurrently; the ring itself is SPSC).
   std::vector<std::unique_ptr<std::mutex>> tx_mu_;
-  std::mutex poll_mu_;  ///< single-consumer guard (try_lock in poll)
+  std::mutex poll_mu_;  ///< one drainer at a time (try_lock in poll)
 };
 
 }  // namespace bgq::transport

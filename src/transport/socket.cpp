@@ -280,7 +280,7 @@ std::size_t SocketTransport::parse_frames(unsigned src) {
 
 std::size_t SocketTransport::drain_peer(unsigned src) {
   Peer& peer = peers_[src];
-  if (!peer.open) return 0;
+  if (!peer.open || peer.rx_closed) return 0;
   std::byte chunk[16384];
   for (;;) {
     const ssize_t r = ::recv(peer.fd, chunk, sizeof chunk, MSG_DONTWAIT);
@@ -307,7 +307,15 @@ std::size_t SocketTransport::poll() {
   if (liveness_enabled()) touch_liveness(rank_, now_ns());
   std::size_t frames = 0;
   for (unsigned i = 0; i < nprocs_; ++i) {
-    if (i != rank_) frames += drain_peer(i);
+    if (i == rank_) continue;
+    try {
+      frames += drain_peer(i);
+    } catch (const wire::FrameError&) {
+      // The stream cannot be resynchronized past a bad frame.
+      peers_[i].rx_closed = true;
+      peers_[i].rxbuf.clear();
+      note_frame_error(i);
+    }
   }
   return frames;
 }

@@ -49,6 +49,7 @@ class SocketTransport final : public Transport {
   struct Peer {
     int fd = -1;
     bool open = false;
+    bool rx_closed = false;  ///< sent a malformed frame; no longer read
     std::unique_ptr<std::mutex> write_mu;
     std::vector<std::byte> rxbuf;  ///< partial-frame accumulation
   };

@@ -10,7 +10,10 @@
 //     frame (transport/wire.hpp); poll() drains inbound frames, copies
 //     each into a packet from the polling thread's pool and hands it to
 //     the DeliverySink (the fabric), which performs the local
-//     reception-FIFO handoff exactly as for an in-process transfer;
+//     reception-FIFO handoff exactly as for an in-process transfer.  The
+//     threads that advance the rank's PAMI contexts call poll() from
+//     their own advance loop; the rank's poller thread drains only what
+//     they leave (join_drainers / await_frames);
 //   * the *control plane*: small reliable ordered frames the machine
 //     layer uses for its distributed services (barrier merges, stop,
 //     checkpoint blobs).  Control frames bypass the chaos layer — they
@@ -20,8 +23,8 @@
 //     delivery-discipline state (a shared-memory job shares the stamps,
 //     a socket job learns liveness from frame arrivals), so they live
 //     here and the fabric forwards;
-//   * *counters*: injects/polls/ring_full/reconnects, exported as
-//     net.transport.* gauges.
+//   * *counters*: injects/polls/ring_full/reconnects/frame_errors/
+//     doorbell_wakes, exported as net.transport.* gauges.
 //
 // Dependency direction: this header depends only on the header-only
 // packet descriptor; backends never include fabric.hpp.  The fabric
@@ -34,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -67,7 +71,7 @@ class DeliverySink {
 using CtrlHandler = std::function<void(const CtrlMsg&)>;
 
 /// Transport counters (net.transport.* gauges).  Plain atomics: writers
-/// are the injecting threads and the polling thread.
+/// are the injecting threads and the polling threads.
 struct Counters {
   std::atomic<std::uint64_t> injects{0};    ///< data packets shipped out
   std::atomic<std::uint64_t> polls{0};      ///< poll() calls
@@ -78,6 +82,11 @@ struct Counters {
   std::atomic<std::uint64_t> reconnects{0};  ///< socket connect retries
   std::atomic<std::uint64_t> ctrl_out{0};
   std::atomic<std::uint64_t> ctrl_in{0};
+  /// Malformed frames; each one closes its peer's inbound stream.
+  std::atomic<std::uint64_t> frame_errors{0};
+  /// Doorbell rings this rank issued to wake a parked poller, a peer's or
+  /// its own (shm only; stopping the poller is not counted).
+  std::atomic<std::uint64_t> doorbell_wakes{0};
 };
 
 class Transport {
@@ -107,8 +116,33 @@ class Transport {
   virtual void inject(net::Packet* p) = 0;
 
   /// Drain inbound frames: data packets go to the sink, control messages
-  /// to the ctrl handler.  Returns frames processed.  Single consumer.
+  /// to the ctrl handler.  Returns frames processed.  Any thread of the
+  /// rank may call it; one drains at a time and concurrent callers return
+  /// 0 at once.  A malformed frame (wire::FrameError) is counted, closes
+  /// its peer's inbound stream and kills that endpoint; poll() returns
+  /// normally and keeps draining the other peers.
   virtual std::size_t poll() = 0;
+
+  /// The calling thread starts (join) or stops (leave) draining this
+  /// rank's inbound frames from its own advance loop.  While one does,
+  /// producers leave the poller asleep for data frames; the last one out
+  /// wakes it if frames are waiting.  No-ops for backends whose poller
+  /// never sleeps.
+  virtual void join_drainers() noexcept {}
+  virtual void leave_drainers() noexcept {}
+
+  /// The poller's idle step after a poll() that found nothing: sleep
+  /// until a producer rings this rank's doorbell, `stop` is set, or
+  /// `timeout_ns` passes (shm); or just yield (backends without a
+  /// doorbell).
+  virtual void await_frames(const std::atomic<bool>& stop,
+                            std::uint64_t timeout_ns) {
+    (void)stop;
+    (void)timeout_ns;
+    std::this_thread::yield();
+  }
+  /// Call after setting await_frames()'s `stop` flag: ends the sleep.
+  virtual void wake_poller() noexcept {}
 
   /// Push out any locally queued bytes (socket write backlogs).  Called
   /// around barriers and at shutdown; lossless transports may no-op.
@@ -168,6 +202,13 @@ class Transport {
   void handle_ctrl(const CtrlMsg& m) {
     counters_.ctrl_in.fetch_add(1, std::memory_order_relaxed);
     if (on_ctrl_) on_ctrl_(m);
+  }
+
+  /// A malformed frame from `src`: count it and treat the peer as failed
+  /// (the caller stops reading its stream).
+  void note_frame_error(unsigned src) {
+    counters_.frame_errors.fetch_add(1, std::memory_order_relaxed);
+    kill_endpoint(static_cast<topo::NodeId>(src));
   }
 
   const std::size_t endpoints_;

@@ -23,6 +23,12 @@
 //       set, so a later commit_wait returns with no justifying wake
 //       (GateSpec violation); conversely one wake() can be swallowed by
 //       the wrong waiter, parking the other forever (watchdog deadlock).
+//
+//   MutantEarlyRecheckDoorbell — the shm doorbell's withdrawing drainer
+//       re-checks the rings *before* it leaves the count.  A producer
+//       that publishes in between still reads a non-zero count and skips
+//       the ring, so its frame waits on a poller that sleeps forever
+//       (watchdog deadlock).
 #pragma once
 
 #include <atomic>
@@ -36,6 +42,7 @@
 
 #include "common/cacheline.hpp"
 #include "l2atomic/l2_atomic.hpp"
+#include "transport/doorbell.hpp"
 #include "verify/schedule_point.hpp"
 
 namespace bgq::verify {
@@ -255,6 +262,24 @@ class MutantLatchGate {
   std::atomic<bool> signaled_{false};
   std::mutex mutex_;
   std::condition_variable cv_;
+};
+
+/// BUG: leave() re-checks for waiting frames before it withdraws from the
+/// drainer count, instead of after — the producer's count read and this
+/// re-check no longer bracket each other, so a frame published between
+/// them is nobody's to drain.
+struct MutantEarlyRecheckDoorbell : transport::Doorbell {
+  template <typename Pred>
+  bool leave(Pred&& frames_waiting) noexcept {
+    const bool waiting = frames_waiting();
+    BGQ_SCHED_POINT("mutant.doorbell.rechecked");
+    const bool last =
+        drainers.fetch_sub(1, std::memory_order_seq_cst) == 1;
+    BGQ_SCHED_POINT("mutant.doorbell.withdrawn");
+    if (!last || !waiting) return false;
+    ring();
+    return true;
+  }
 };
 
 }  // namespace bgq::verify

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "transport/shm_ring.hpp"
 #include "verify/history.hpp"
 #include "verify/linearize.hpp"
 #include "verify/scheduler.hpp"
@@ -312,6 +313,109 @@ GateFuzzOutcome fuzz_gate_once(const GateFuzzConfig& cfg) {
     out.lin.verdict = verify::LinVerdict::kLimit;
     out.lin.message = "history capacity overflow";
   }
+  return out;
+}
+
+// ---- doorbell fuzzing -----------------------------------------------------
+
+struct DoorbellFuzzConfig {
+  std::size_t frames = 3;  ///< one-byte frames the producer publishes
+  std::size_t ring = 2;    ///< ring capacity in bytes (< frames: full ring)
+  int drainer_polls = 2;   ///< polls the drainer makes before it withdraws
+  std::uint64_t seed = 1;
+  const std::vector<std::uint8_t>* replay = nullptr;
+  bool deterministic_fallback = false;
+  std::chrono::milliseconds watchdog{5000};
+};
+
+struct DoorbellFuzzOutcome {
+  RunResult run;
+  std::size_t delivered = 0;
+  std::string error;  ///< a frame delivered out of order
+};
+
+/// One fuzzed schedule of the shm doorbell handshake (the real
+/// transport::Doorbell or a mutant of it) on one ring, in the shm
+/// transport's three roles: a producer that publishes, rings on a full
+/// ring and notifies; a drainer that joins the count, polls a few times
+/// and withdraws mid-stream; and a poller that polls and parks with no
+/// deadline, so a lost wakeup is a deadlock the watchdog reports (the
+/// rescue rings until the run drains).  poll() admits one drainer at a
+/// time, as the transport's try_lock does.
+template <typename Bell>
+DoorbellFuzzOutcome fuzz_doorbell_once(const DoorbellFuzzConfig& cfg) {
+  transport::ShmRingCtrl ctrl;
+  std::vector<std::byte> data(cfg.ring);
+  transport::ShmRingView ring(&ctrl, data.data(), cfg.ring);
+  Bell bell{};
+  std::atomic_flag draining;  // clear
+  std::atomic<std::size_t> delivered{0};
+  std::string error;  // written only while `draining` is held
+
+  auto frames_waiting = [&] { return ring.readable() != 0; };
+  auto all_delivered = [&] {
+    return delivered.load(std::memory_order_acquire) == cfg.frames;
+  };
+  auto poll = [&]() -> std::size_t {
+    if (draining.test_and_set(std::memory_order_acquire)) return 0;
+    std::size_t n = 0;
+    std::byte b{};
+    while (ring.peek(0, &b, 1)) {
+      const std::size_t next = delivered.load(std::memory_order_relaxed);
+      if (static_cast<std::size_t>(b) != next && error.empty()) {
+        error = "frame " + std::to_string(static_cast<int>(b)) +
+                " delivered as number " + std::to_string(next);
+      }
+      ring.consume(1);
+      delivered.store(next + 1, std::memory_order_release);
+      ++n;
+    }
+    draining.clear(std::memory_order_release);
+    // The end of the test, not part of the handshake: a parked poller
+    // learns that someone else delivered the last frame.
+    if (n != 0 && all_delivered()) bell.ring();
+    return n;
+  };
+
+  // Slot order matters to the exhaustive driver, whose fallback runs the
+  // lowest runnable slot: the producer goes last, so a producer spinning
+  // on a full ring never starves the threads that would drain it.
+  std::vector<std::function<void()>> bodies;
+  bodies.emplace_back([&] {  // inline drainer
+    bell.join();
+    for (int i = 0; i < cfg.drainer_polls; ++i) poll();
+    bell.leave(frames_waiting);
+  });
+  bodies.emplace_back([&] {  // poller
+    while (!all_delivered()) {
+      if (poll() != 0) continue;
+      bell.park([&] { return frames_waiting() || all_delivered(); },
+                Bell::kNoDeadline);
+    }
+  });
+  bodies.emplace_back([&] {  // producer
+    for (std::size_t f = 0; f < cfg.frames; ++f) {
+      const auto b = static_cast<std::byte>(f);
+      bool rang = false;
+      while (!ring.try_push(&b, 1)) {
+        if (!rang) bell.ring();  // full ring: the poller makes room
+        rang = true;
+      }
+      bell.notify(/*force=*/false);
+    }
+  });
+
+  RunOptions ro;
+  ro.seed = cfg.seed;
+  ro.replay = cfg.replay;
+  ro.deterministic_fallback = cfg.deterministic_fallback;
+  ro.watchdog = cfg.watchdog;
+  ro.rescue = [&] { bell.ring(); };
+
+  DoorbellFuzzOutcome out;
+  out.run = run_schedule(ro, bodies);
+  out.delivered = delivered.load();
+  out.error = error;
   return out;
 }
 

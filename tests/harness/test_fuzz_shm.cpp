@@ -12,6 +12,13 @@
 //     publishes the whole frame with one release-store;
 //   * a full ring fails the push without corrupting anything, and the
 //     producer's retry eventually lands once the consumer frees space.
+//
+// FuzzShmDoorbell drives the transport's doorbell handshake
+// (transport/doorbell.hpp) with its own live schedule points: a
+// producer, a thread draining inline that withdraws mid-stream and a
+// poller that parks with no safety-net deadline must deliver every
+// frame, in order, on every schedule — a lost wakeup would leave the
+// poller asleep and show up as a deadlock.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,14 +29,18 @@
 
 #include "harness_util.hpp"
 #include "test_seed.hpp"
+#include "transport/doorbell.hpp"
 #include "transport/shm_ring.hpp"
 #include "verify/scheduler.hpp"
 
 namespace {
 
 using bgq::harness::describe_run;
+using bgq::harness::DoorbellFuzzConfig;
+using bgq::harness::fuzz_doorbell_once;
 using bgq::harness::run_schedule;
 using bgq::harness::RunOptions;
+using bgq::transport::Doorbell;
 using bgq::test_support::announce_seed;
 using bgq::test_support::harness_scale;
 using bgq::transport::ShmRingCtrl;
@@ -196,6 +207,54 @@ TEST(FuzzShmRing, FullRingRejectsWithoutCorruption) {
   ASSERT_TRUE(ring.try_push(five, 5));
   ASSERT_TRUE(ring.peek(0, out, 5));
   EXPECT_EQ(static_cast<int>(out[4]), 5);
+}
+
+TEST(FuzzShmDoorbell, EveryFrameDeliveredWithoutTheSafetyNet) {
+  const std::uint64_t base = announce_seed("FuzzShmDoorbell.Fuzz", 0xD00B);
+  const std::uint64_t n =
+      std::max<std::uint64_t>(2000 / harness_scale(), 10);
+  // A ring smaller than the stream (full-ring rings on most schedules)
+  // and a roomy one (every wakeup comes from notify or the withdrawal).
+  const DoorbellFuzzConfig shapes[] = {{3, 2, 2}, {2, 4, 2}};
+  for (const DoorbellFuzzConfig& shape : shapes) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      DoorbellFuzzConfig cfg = shape;
+      cfg.seed = base + i;
+      const auto out = fuzz_doorbell_once<Doorbell>(cfg);
+      ASSERT_FALSE(out.run.deadlocked)
+          << "lost wakeup: " << describe_run(cfg.seed, out.run);
+      ASSERT_EQ(out.delivered, cfg.frames) << describe_run(cfg.seed, out.run);
+      ASSERT_TRUE(out.error.empty())
+          << describe_run(cfg.seed, out.run) << "\n" << out.error;
+    }
+  }
+}
+
+TEST(FuzzShmDoorbell, ExhaustiveSmallBound) {
+  std::uint64_t violations = 0;
+  std::string first_bad;
+  const std::uint64_t cap =
+      std::max<std::uint64_t>(20000 / harness_scale(), 200);
+  const std::uint64_t runs = exhaust_schedules(
+      12, cap, [&](const std::vector<std::uint8_t>& prefix) {
+        DoorbellFuzzConfig cfg{3, 2, 2};
+        cfg.seed = 29;
+        cfg.replay = &prefix;
+        cfg.deterministic_fallback = true;
+        const auto out = fuzz_doorbell_once<Doorbell>(cfg);
+        if (out.run.deadlocked || out.delivered != cfg.frames ||
+            !out.error.empty()) {
+          ++violations;
+          if (first_bad.empty()) {
+            first_bad = describe_run(cfg.seed, out.run) + "\n" + out.error;
+          }
+        }
+        return out.run.trace;
+      });
+  EXPECT_EQ(violations, 0u) << first_bad;
+  EXPECT_GT(runs, 50u);
+  std::fprintf(stderr, "[ EXHAUST  ] ShmDoorbell: %llu schedules\n",
+               static_cast<unsigned long long>(runs));
 }
 
 }  // namespace

@@ -13,11 +13,14 @@
 
 namespace {
 
+using bgq::harness::DoorbellFuzzConfig;
+using bgq::harness::fuzz_doorbell_once;
 using bgq::harness::fuzz_gate_once;
 using bgq::harness::fuzz_queue_once;
 using bgq::harness::GateFuzzConfig;
 using bgq::harness::QueueFuzzConfig;
 using bgq::test_support::announce_seed;
+using bgq::verify::MutantEarlyRecheckDoorbell;
 using bgq::verify::MutantLatchGate;
 using bgq::verify::MutantNoDrainQueue;
 using bgq::verify::MutantRacyTicketQueue;
@@ -118,6 +121,31 @@ TEST(Mutants, LatchGateLosesWakeupWithTwoWaiters) {
   ASSERT_NE(detected_at, 0u)
       << "two-waiter latch-gate mutant survived 2000 fuzzed schedules";
   std::fprintf(stderr, "[ MUTANT   ] latch-gate-2w detected after %llu schedules\n",
+               static_cast<unsigned long long>(detected_at));
+}
+
+TEST(Mutants, EarlyRecheckDoorbellLosesWakeup) {
+  // The drainer re-checks the rings before it leaves the count: a frame
+  // published in between is skipped by the producer (count non-zero) and
+  // by the re-check, and the poller — parked with no safety-net deadline
+  // — sleeps through it.  Detection is the watchdog deadlock; the rescue
+  // ring un-wedges the run afterwards.
+  const std::uint64_t base = announce_seed("Mutants.EarlyRecheck", 0xD00C);
+  std::uint64_t detected_at = 0;
+  for (std::uint64_t i = 0; i < 2000 && !detected_at; ++i) {
+    DoorbellFuzzConfig cfg{2, 4, 2};
+    cfg.seed = base + i;
+    cfg.watchdog = std::chrono::milliseconds(3000);
+    const auto out = fuzz_doorbell_once<MutantEarlyRecheckDoorbell>(cfg);
+    if (out.run.deadlocked || out.delivered != cfg.frames) {
+      detected_at = i + 1;
+    }
+  }
+  ASSERT_NE(detected_at, 0u)
+      << "early-recheck doorbell mutant survived 2000 fuzzed schedules";
+  std::fprintf(stderr,
+               "[ MUTANT   ] early-recheck-doorbell detected after %llu "
+               "schedules\n",
                static_cast<unsigned long long>(detected_at));
 }
 

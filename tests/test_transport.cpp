@@ -6,14 +6,18 @@
 //     codec) and the Config grammar (pure functions);
 //   * direct backend contracts — delivery, per-pair ordering, the
 //     control plane, shared liveness/death state, ring-full
-//     backpressure — driven on transport pairs living in this process
-//     (the shm segment and socket mesh don't care whether the ranks are
+//     backpressure, a malformed frame killing its sender instead of the
+//     receiver — driven on transport pairs living in this process (the
+//     shm segment and socket mesh don't care whether the ranks are
 //     processes or threads);
-//   * the machine-level oracle: the same deterministic FFT mini-app run
-//     as a 2-rank job over shm and socket (two Machines on two threads,
-//     one emulated process each) must reproduce the in-process run's
-//     per-element digests bit-for-bit — including under a chaos fault
-//     plan, where the reliability protocol hides the drops.
+//   * machine-level checks on 2-rank jobs run as two Machines on two
+//     threads, one emulated process each: an shm ping-pong whose data
+//     frames must not ring the poller's doorbell while the workers drain
+//     inline, and the oracle — the same deterministic FFT mini-app over
+//     shm (in every machine mode) and socket must reproduce the
+//     in-process run's per-element digests bit-for-bit, including under
+//     a chaos fault plan, where the reliability protocol hides the
+//     drops.
 //
 // The multi-OS-process version of the oracle (real fork/exec ranks,
 // crash + recovery) lives in tools/bgq-run; CI drives it directly.
@@ -44,8 +48,10 @@ namespace {
 
 using bgq::charm::FtFft2D;
 using bgq::charm::Runtime;
+using bgq::cvs::HandlerId;
 using bgq::cvs::Machine;
 using bgq::cvs::MachineConfig;
+using bgq::cvs::Message;
 using bgq::cvs::Mode;
 using bgq::cvs::Pe;
 using bgq::net::Packet;
@@ -446,6 +452,30 @@ void check_ctrl_plane(Transport& a, Transport& b) {
   EXPECT_EQ(cb.got[1].type, 23);
 }
 
+/// A data frame whose header disagrees with its size (payload_bytes one
+/// short of what the frame carries) is counted and kills its sender;
+/// poll() returns normally and reads nothing more from that peer.
+void check_malformed_frame_kills_sender(Transport& tx, Transport& rx) {
+  CaptureSink sink;
+  rx.set_sink(&sink);
+  Packet* bad = make_packet(0, 1, 1, 32);
+  bad->payload_bytes = 31;
+  tx.inject(bad);
+  tx.flush();
+  ASSERT_TRUE(poll_until(
+      rx, [&] { return rx.counters().frame_errors.load() != 0; }));
+  EXPECT_EQ(rx.counters().frame_errors.load(), 1u);
+  EXPECT_TRUE(rx.endpoint_dead(0)) << "the sender must be treated as failed";
+  EXPECT_FALSE(rx.endpoint_dead(1));
+  // The stream is closed: a well-formed frame behind the bad one is
+  // never read, and polling stays quiet.
+  tx.inject(make_packet(0, 1, 2));
+  tx.flush();
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rx.poll(), 0u);
+  EXPECT_EQ(sink.count(), 0u);
+  EXPECT_EQ(rx.counters().frame_errors.load(), 1u);
+}
+
 TEST(ShmPair, DeliveryAndPerPairOrdering) {
   const std::string s = session("shmord");
   Pair p = Pair::make(Kind::kShm, s);
@@ -505,6 +535,12 @@ TEST(ShmPair, FullRingBackpressuresUntilConsumerDrains) {
   }
 }
 
+TEST(ShmPair, MalformedFrameKillsTheSenderNotTheRank) {
+  const std::string s = session("shmbad");
+  Pair p = Pair::make(Kind::kShm, s);
+  check_malformed_frame_kills_sender(*p.a, *p.b);
+}
+
 TEST(ShmPair, OversizedFrameIsRejectedLoudly) {
   const std::string s = session("shmbig");
   Pair p = Pair::make(Kind::kShm, s, /*ring_bytes=*/4096);
@@ -523,6 +559,12 @@ TEST(SocketPair, CtrlPlaneDirectedAndBroadcast) {
   const std::string s = session("sockctl");
   Pair p = Pair::make(Kind::kSocket, s);
   check_ctrl_plane(*p.a, *p.b);
+}
+
+TEST(SocketPair, MalformedFrameKillsTheSenderNotTheRank) {
+  const std::string s = session("sockbad");
+  Pair p = Pair::make(Kind::kSocket, s);
+  check_malformed_frame_kills_sender(*p.a, *p.b);
 }
 
 TEST(SocketPair, ArrivalStampsLiveness) {
@@ -544,6 +586,70 @@ TEST(SocketPair, ArrivalStampsLiveness) {
   EXPECT_GT(p.b->last_heard(0), 0u);
 }
 
+// ---- machine level: shm ping-pong ------------------------------------------
+
+/// Counters one rank of the ping-pong reports once its run is over.
+struct PingPongRank {
+  bool finished = false;
+  std::uint64_t doorbell_wakes = 0;
+  std::uint64_t data_frames_in = 0;
+};
+
+TEST(ShmPair, PingPongDataFramesLeaveThePollerAsleep) {
+  // While each rank's worker drains its rings inline, a data frame must
+  // not ring the rank's doorbell: the poller sleeps through the whole
+  // ping-pong and only ctrl frames (barrier, stop, quiesce) and the
+  // stretches before the workers start draining may wake it.
+  constexpr std::uint32_t kRounds = 10000;
+  const std::string sess = session("shmbell");
+  ShmTransport::unlink_session(sess);
+  auto rank = [&](unsigned r, PingPongRank& out) {
+    MachineConfig cfg;
+    cfg.nodes = 2;
+    cfg.mode = Mode::kSmp;
+    cfg.workers_per_process = 1;
+    cfg.transport = pair_config(Kind::kShm, 2, r, sess);
+    Machine machine(cfg);
+    std::uint32_t rounds = 0;
+    const HandlerId h = machine.register_handler([&](Pe& pe, Message* m) {
+      if (pe.rank() == 1) {
+        pe.send_message(0, m);
+        return;
+      }
+      if (++rounds == kRounds) {
+        pe.free_message(m);
+        out.finished = true;
+        pe.exit_all();
+        return;
+      }
+      pe.send_message(1, m);
+    });
+    machine.run([&](Pe& pe) {
+      if (pe.rank() != 0) return;
+      Message* m = pe.alloc_message(16, h);
+      std::memset(m->payload(), 0x5A, 16);
+      pe.send_message(1, m);
+    });
+    const bgq::transport::Counters& tc =
+        machine.fabric().transport().counters();
+    out.data_frames_in = tc.frames_in.load() - tc.ctrl_in.load();
+    out.doorbell_wakes =
+        machine.metrics_report().value("net.transport.doorbell_wakes");
+  };
+  PingPongRank r0, r1;
+  std::thread peer([&] { rank(1, r1); });
+  rank(0, r0);
+  peer.join();
+  ASSERT_TRUE(r0.finished);
+  const std::uint64_t frames = r0.data_frames_in + r1.data_frames_in;
+  const std::uint64_t wakes = r0.doorbell_wakes + r1.doorbell_wakes;
+  std::printf("[ DOORBELL ] %llu wakes for %llu data frames\n",
+              static_cast<unsigned long long>(wakes),
+              static_cast<unsigned long long>(frames));
+  EXPECT_GE(frames, 2u * kRounds - 1);
+  EXPECT_LT(wakes * 100, frames) << "data frames are ringing the doorbell";
+}
+
 // ---- machine-level digest parity ------------------------------------------
 
 /// One rank's share of an FFT job: per-element digests of the elements
@@ -560,14 +666,19 @@ constexpr std::size_t kProcs = 2;
 constexpr std::uint32_t kSteps = 6;
 
 /// Run one rank (or, with an inproc config, the whole job) of the
-/// deterministic FFT mini-app and report its locally-homed elements.
-RankResult run_fft_rank(const Config& tc, const bgq::net::FaultPlan& faults) {
+/// deterministic FFT mini-app in machine mode `mode` (one emulated
+/// process per node, one worker each) and report its locally-homed
+/// elements.
+RankResult run_fft_rank(const Config& tc, const bgq::net::FaultPlan& faults,
+                        Mode mode = Mode::kSmp) {
   RankResult out;
   try {
     MachineConfig cfg;
     cfg.nodes = kProcs;
-    cfg.mode = Mode::kSmp;
+    cfg.mode = mode;
     cfg.workers_per_process = 1;
+    cfg.processes_per_node = 1;
+    cfg.comm_threads = 1;
     cfg.transport = tc;
     cfg.faults = faults;
     Machine machine(cfg);
@@ -609,11 +720,16 @@ std::uint64_t merged_digest(const RankResult& r0, const RankResult& r1,
 }
 
 std::uint64_t run_twin_job(Kind kind, const std::string& sess,
-                           const bgq::net::FaultPlan& faults) {
+                           const bgq::net::FaultPlan& faults,
+                           Mode mode = Mode::kSmp) {
   if (kind == Kind::kShm) ShmTransport::unlink_session(sess);
   RankResult r0, r1;
-  std::thread t0([&] { r0 = run_fft_rank(pair_config(kind, 2, 0, sess), faults); });
-  std::thread t1([&] { r1 = run_fft_rank(pair_config(kind, 2, 1, sess), faults); });
+  std::thread t0([&] {
+    r0 = run_fft_rank(pair_config(kind, 2, 0, sess), faults, mode);
+  });
+  std::thread t1([&] {
+    r1 = run_fft_rank(pair_config(kind, 2, 1, sess), faults, mode);
+  });
   t0.join();
   t1.join();
   EXPECT_TRUE(r0.ok) << "rank 0: " << r0.error;
@@ -629,9 +745,21 @@ TEST(DigestParity, ShmAndSocketMatchInProcess) {
   ASSERT_TRUE(ref.finished);
   const std::uint64_t want = merged_digest(ref, RankResult{}, kProcs);
 
-  const std::uint64_t shm =
-      run_twin_job(Kind::kShm, session("parshm"), bgq::net::FaultPlan{});
-  EXPECT_EQ(shm, want) << "shm transport changed application state";
+  // shm in every mode: the worker drains inline in kNonSmp (executing
+  // handlers straight from the drain) and kSmp; in kSmpCommThreads the
+  // comm thread drains, and leaves the drainer count before it parks.
+  const struct {
+    Mode mode;
+    const char* tag;
+  } modes[] = {{Mode::kNonSmp, "parshm-nonsmp"},
+               {Mode::kSmp, "parshm-smp"},
+               {Mode::kSmpCommThreads, "parshm-comm"}};
+  for (const auto& m : modes) {
+    const std::uint64_t shm = run_twin_job(Kind::kShm, session(m.tag),
+                                           bgq::net::FaultPlan{}, m.mode);
+    EXPECT_EQ(shm, want) << "shm transport changed application state in "
+                         << m.tag;
+  }
 
   const std::uint64_t sock =
       run_twin_job(Kind::kSocket, session("parsock"), bgq::net::FaultPlan{});
