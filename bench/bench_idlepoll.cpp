@@ -56,11 +56,7 @@ Result run_policy(IdlePollPolicy policy) {
         trace::emit_here(trace::EventKind::kHandlerEnd, 0, cid);
         continue;
       }
-      switch (policy) {
-        case IdlePollPolicy::kHotSpin: cpu_relax(); break;
-        case IdlePollPolicy::kL2Paced: l2_paced_delay(); break;
-        case IdlePollPolicy::kOsYield: std::this_thread::yield(); break;
-      }
+      idle_pause(policy);
     }
   });
 

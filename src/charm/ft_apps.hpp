@@ -25,20 +25,13 @@
 #include <vector>
 
 #include "charm/chare.hpp"
+#include "common/hash.hpp"
 #include "fft/fft1d.hpp"
 
 namespace bgq::charm {
 
 /// FNV-1a over raw bytes — the digest the determinism tests compare.
-inline std::uint64_t fnv1a(std::uint64_t h, const void* data,
-                           std::size_t bytes) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using ::bgq::fnv1a;
 
 // ---------------------------------------------------------------------------
 // FtFft2D
@@ -288,13 +281,13 @@ inline FtFft2D::FtFft2D(Runtime& rt, std::size_t n, std::size_t elems,
 }
 
 inline std::uint64_t FtFft2D::digest() const {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const Elem* e : raw_) h = e->digest_into(h);
   return h;
 }
 
 inline std::uint64_t FtFft2D::element_digest(std::size_t e) const {
-  return raw_[e]->digest_into(14695981039346656037ull);
+  return raw_[e]->digest_into(kFnvOffsetBasis);
 }
 
 // ---------------------------------------------------------------------------
@@ -501,13 +494,13 @@ inline FtMdRing::FtMdRing(Runtime& rt, std::size_t patches,
 }
 
 inline std::uint64_t FtMdRing::digest() const {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const Patch* p : raw_) h = p->digest_into(h);
   return h;
 }
 
 inline std::uint64_t FtMdRing::element_digest(std::size_t e) const {
-  return raw_[e]->digest_into(14695981039346656037ull);
+  return raw_[e]->digest_into(kFnvOffsetBasis);
 }
 
 }  // namespace bgq::charm

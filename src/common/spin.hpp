@@ -1,15 +1,16 @@
-// Spin-wait primitives.
+// Idle-poll pacing.
 //
-// Emulates the two idle-wait disciplines discussed in the paper (§III-D):
+// Emulates the idle-wait disciplines discussed in the paper (§III-D):
 //   * a hot spin that hammers the core's pipeline (what the unoptimized
-//     Charm++ idle poll did), and
+//     Charm++ idle poll did),
 //   * the "L2 paced" spin where each probe stalls on an L2 atomic load
 //     (~60 cycles on BG/Q), leaving pipeline slots to the sibling hardware
-//     threads on the same core.
+//     threads on the same core, and
+//   * yielding the OS thread between probes.
+// Threads that may sleep instead park on a wakeup::WaitGate.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -27,30 +28,6 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// Exponential backoff used inside lock-free retry loops.  Starts with pure
-/// pauses and escalates to yielding the OS thread, which matters on hosts
-/// with fewer cores than runtime threads.
-class Backoff {
- public:
-  void pause() noexcept {
-    if (count_ < kSpinLimit) {
-      for (std::uint32_t i = 0; i < (1u << count_); ++i) cpu_relax();
-      ++count_;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-
-  void reset() noexcept { count_ = 0; }
-
-  /// True once the backoff has escalated to OS yields.
-  bool saturated() const noexcept { return count_ >= kSpinLimit; }
-
- private:
-  static constexpr std::uint32_t kSpinLimit = 6;
-  std::uint32_t count_ = 0;
-};
-
 /// Idle-poll pacing policies (paper §III-D).
 enum class IdlePollPolicy {
   kHotSpin,   ///< re-probe as fast as possible (burns pipeline slots)
@@ -58,21 +35,16 @@ enum class IdlePollPolicy {
   kOsYield,   ///< yield to the OS between probes (worst wake latency)
 };
 
-/// Emulate the ~60-cycle stall of an L2 atomic load on BG/Q: a short burst
-/// of pauses approximating that latency on the host.
-inline void l2_paced_delay() noexcept {
-  for (int i = 0; i < 8; ++i) cpu_relax();
-}
-
-/// Spin until `pred()` is true under the given pacing policy.
-template <typename Pred>
-void spin_until(Pred&& pred, IdlePollPolicy policy = IdlePollPolicy::kL2Paced) {
-  while (!pred()) {
-    switch (policy) {
-      case IdlePollPolicy::kHotSpin: cpu_relax(); break;
-      case IdlePollPolicy::kL2Paced: l2_paced_delay(); break;
-      case IdlePollPolicy::kOsYield: std::this_thread::yield(); break;
-    }
+/// What an idle poll loop does between two probes that found no work.
+inline void idle_pause(IdlePollPolicy policy) noexcept {
+  switch (policy) {
+    case IdlePollPolicy::kHotSpin: cpu_relax(); break;
+    case IdlePollPolicy::kL2Paced:
+      // The ~60-cycle stall of an L2 atomic load on BG/Q, approximated
+      // on the host by a short burst of pauses.
+      for (int i = 0; i < 8; ++i) cpu_relax();
+      break;
+    case IdlePollPolicy::kOsYield: std::this_thread::yield(); break;
   }
 }
 

@@ -263,11 +263,7 @@ void Pe::scheduler_loop() {
     // Idle poll (§III-D): pace the re-probe so sibling hardware threads
     // keep the core's pipeline (emulated by pause bursts / yields).
     counters_->add(ids.idle_probes);
-    switch (policy) {
-      case IdlePollPolicy::kHotSpin: cpu_relax(); break;
-      case IdlePollPolicy::kL2Paced: l2_paced_delay(); break;
-      case IdlePollPolicy::kOsYield: std::this_thread::yield(); break;
-    }
+    idle_pause(policy);
   }
   if (idle && ring_) {
     ring_->emit({now_ns(), 0, trace::EventKind::kIdleEnd});

@@ -2,9 +2,10 @@
 // Messaging Unit + 5D torus (§II-A).
 //
 // Each simulated node owns a set of reception FIFOs (lockless MPSC queues
-// of Packet*, polled by PAMI contexts) and an optional WaitGate per FIFO so
-// parked communication threads are woken on packet arrival — the emulated
-// wakeup-unit path.
+// of Packet*, polled by PAMI contexts).  A FIFO serviced by a comm thread
+// is bound to that thread's WaitGate, so the parked thread is woken on
+// packet arrival — the emulated wakeup-unit path; an unbound FIFO (its
+// context advanced by a worker that never parks) skips the wake.
 //
 // Delivery discipline: *synchronous with modeled wire time.*  inject()
 // routes the transfer, stamps Packet::wire_ns from the torus hop count and
@@ -34,18 +35,17 @@
 
 namespace bgq::net {
 
-/// A reception FIFO: lockless MPSC queue of packets plus the wait gate of
-/// the thread that services it.
+/// A reception FIFO: lockless MPSC queue of packets plus, when a comm
+/// thread services it, that thread's wait gate.
 class ReceptionFifo {
  public:
-  explicit ReceptionFifo(std::size_t capacity = 4096)
-      : q_(capacity), active_gate_(&gate_) {}
+  explicit ReceptionFifo(std::size_t capacity = 4096) : q_(capacity) {}
 
   /// Fabric side.  Lossless: a full lockless ring spills to the queue's
   /// mutex-protected overflow (counted — see spills()).
   void deliver(Packet* p) {
     if (!q_.enqueue(p)) spills_.fetch_add(1, std::memory_order_relaxed);
-    active_gate_.load(std::memory_order_acquire)->wake();
+    wake();
   }
 
   /// Fabric side, overload mode (FaultPlan::reject_on_full): enqueue only
@@ -53,7 +53,7 @@ class ReceptionFifo {
   /// owned by the caller — when the FIFO is full.
   bool try_deliver(Packet* p) {
     if (!q_.try_enqueue(p)) return false;
-    active_gate_.load(std::memory_order_acquire)->wake();
+    wake();
     return true;
   }
 
@@ -67,23 +67,25 @@ class ReceptionFifo {
     return spills_.load(std::memory_order_relaxed);
   }
 
-  /// Gate a comm thread parks on while this FIFO is empty.
-  wakeup::WaitGate& gate() {
-    return *active_gate_.load(std::memory_order_acquire);
+  /// Wake the bound gate, if any, after a store its thread waits for —
+  /// a delivery, or work posted to the FIFO's context.
+  void wake() const noexcept {
+    if (wakeup::WaitGate* g = gate_.load(std::memory_order_acquire)) {
+      g->wake();
+    }
   }
 
-  /// Re-point arrivals at another gate — the comm-thread pool binds every
-  /// FIFO it services to the servicing thread's own gate (one thread may
-  /// advance several contexts).  Call before traffic starts.
-  void bind_gate(wakeup::WaitGate* g) {
-    active_gate_.store(g != nullptr ? g : &gate_,
-                       std::memory_order_release);
+  /// Point arrivals at the gate of the thread that services this FIFO —
+  /// the comm-thread pool binds every FIFO it services to the servicing
+  /// thread's own gate (one thread may advance several contexts); nullptr
+  /// unbinds.  Call before traffic starts.
+  void bind_gate(wakeup::WaitGate* g) noexcept {
+    gate_.store(g, std::memory_order_release);
   }
 
  private:
   queue::L2AtomicQueue<Packet*> q_;
-  wakeup::WaitGate gate_;
-  std::atomic<wakeup::WaitGate*> active_gate_;
+  std::atomic<wakeup::WaitGate*> gate_{nullptr};
   std::atomic<std::uint64_t> spills_{0};
 };
 

@@ -35,6 +35,7 @@
 #include <type_traits>
 
 #include "alloc/allocator.hpp"
+#include "common/hash.hpp"
 #include "topology/torus.hpp"
 
 namespace bgq::net {
@@ -292,18 +293,11 @@ using PacketPtr = std::unique_ptr<Packet, PacketRelease>;
 /// checksum field itself, the fabric's wire stamps and the cid sidecar
 /// are excluded.
 inline std::uint64_t packet_checksum(const Packet& p) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  auto mix = [&h](const std::byte* b, std::size_t n) noexcept {
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<std::uint8_t>(b[i]);
-      h *= 0x100000001B3ull;
-    }
-  };
   constexpr std::size_t kFirst = offsetof(Packet, kind);
   constexpr std::size_t kEnd = offsetof(Packet, num_packets);
-  mix(p.frame() + kFirst, kEnd - kFirst);
-  mix(p.body(), p.body_bytes());
-  return h;
+  const std::uint64_t h =
+      fnv1a(kFnvOffsetBasis, p.frame() + kFirst, kEnd - kFirst);
+  return fnv1a(h, p.body(), p.body_bytes());
 }
 
 }  // namespace bgq::net

@@ -40,7 +40,7 @@ void CommThreadPool::stop() {
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
-  // Restore default gates so the contexts remain usable without the pool.
+  // Unbind, so the contexts remain usable without the pool.
   for (Context* c : contexts_) c->bind_gate(nullptr);
 }
 
@@ -49,11 +49,12 @@ namespace {
 // initial RTO, so a retransmit is at most one park late.
 constexpr std::uint64_t kTimerParkNs = 100'000;
 // How long an idle comm thread keeps polling — yielding its core to any
-// other runnable thread — before it parks (§III-D's idle-poll trade-off).
-// Here a park/wake round trip is an OS context switch of ~25 us, not the
-// wakeup unit's ~0.4 us, so parking on every short gap between bursts put
-// that cost on most messages of the next burst; the budget is a couple
-// of round trips.
+// other runnable thread — before it parks (§III-D's idle-poll trade-off);
+// the gate itself does not spin, so this is the only spin phase.  Here a
+// park/wake round trip is an OS context switch of ~25 us, not the wakeup
+// unit's ~0.4 us, so parking on every short gap between bursts put that
+// cost on most messages of the next burst; the budget is a couple of
+// round trips.
 constexpr std::uint64_t kSpinBeforeParkNs = 50'000;
 }  // namespace
 
@@ -90,33 +91,28 @@ void CommThreadPool::run(unsigned tid) {
     }
     idle_since = 0;
 
-    // Idle: park on the wakeup gate (emulated `wait` instruction).  The
-    // prepare/re-check/commit dance closes the race against a packet that
-    // arrives between the last poll and the park.
-    const auto seen = gate.prepare_wait();
-    BGQ_SCHED_POINT("comm.park.recheck");
-    bool pending = stop_.load(std::memory_order_acquire);
-    for (Context* c : mine) pending = pending || c->has_pending();
-    if (pending) {
-      gate.cancel_wait();
-      continue;
-    }
-    // Stop draining before the park; a frame still in a ring wakes the
-    // transport poller, whose delivery then wakes this gate.
+    // Idle: park on the wakeup gate (emulated `wait` instruction).  Stop
+    // draining first; a frame still in a ring wakes the transport poller,
+    // whose delivery then wakes this gate.  With reliability timers armed
+    // (unacked packets / a backpressure backlog on a context we advance)
+    // the park has a deadline: a lost ack never produces a wake(), only a
+    // retransmit timeout.
     for (Context* c : mine) c->leave_drainers();
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkBegin, tid);
-    // With reliability timers armed (unacked packets / a backpressure
-    // backlog on a context we advance) the park must have a deadline: a
-    // lost ack never produces a wake(), only a retransmit timeout.
     bool timers = false;
     for (Context* c : mine) timers = timers || c->has_timers();
-    if (timers) {
-      gate.commit_wait_for(seen, kTimerParkNs);
-    } else {
-      gate.commit_wait(seen);
-    }
-    BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkEnd, tid);
+    const bool parked = gate.park(
+        [&] {
+          if (stop_.load(std::memory_order_acquire)) return true;
+          for (Context* c : mine) {
+            if (c->has_pending()) return true;
+          }
+          // Nothing pending: the commit follows, so the park counts now.
+          parks_.fetch_add(1, std::memory_order_relaxed);
+          BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkBegin, tid);
+          return false;
+        },
+        timers ? kTimerParkNs : wakeup::WaitGate::kNoDeadline);
+    if (parked) BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkEnd, tid);
     for (Context* c : mine) c->join_drainers();
   }
   for (Context* c : mine) c->leave_drainers();

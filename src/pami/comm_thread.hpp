@@ -8,11 +8,12 @@
 //  evenly distributed across all the communication threads."
 //
 // A CommThreadPool owns N host threads; each advances a fixed subset of
-// PAMI contexts.  All FIFO/work wakeups of those contexts are rebound to
-// the servicing thread's WaitGate, so an idle comm thread — after polling
-// for a short budget, since a host park/wake costs far more than the
-// wakeup unit's — parks (emulated `wait` instruction) and is woken by
-// packet arrival or posted work (emulated wakeup-unit interrupt).  Worker-to-comm-thread load spreading
+// PAMI contexts.  Those contexts' FIFO and work wakeups are bound to the
+// servicing thread's WaitGate, so an idle comm thread parks (emulated
+// `wait` instruction) with WaitGate::park and is woken by packet arrival
+// or posted work (emulated wakeup-unit interrupt).  Before it parks it
+// polls for a fixed budget, its only spin phase: a host park/wake costs
+// far more than the wakeup unit's.  Worker-to-comm-thread load spreading
 // is the caller's choice of which context each message goes through; the
 // helper route() implements the paper's even distribution.
 #pragma once

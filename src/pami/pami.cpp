@@ -407,15 +407,13 @@ std::size_t Context::reliability_tick() {
 void Context::post_work(std::function<void()> fn) {
   work_.enqueue(new WorkItem{std::move(fn)});
   // Same gate as packet arrivals: the advancing thread parks in one place.
-  fifo().gate().wake();
+  fifo().wake();
 }
 
 bool Context::has_pending() const {
   auto& self = const_cast<Context&>(*this);
   return !self.fifo().empty() || !self.work_.empty();
 }
-
-wakeup::WaitGate& Context::gate() { return fifo().gate(); }
 
 void Context::bind_gate(wakeup::WaitGate* g) { fifo().bind_gate(g); }
 

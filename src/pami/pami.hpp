@@ -165,11 +165,8 @@ class Context {
            backlog_count_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// The gate the advancing thread parks on (the reception FIFO's gate by
-  /// default; the comm-thread pool rebinds it).
-  wakeup::WaitGate& gate();
-
-  /// Rebind arrival/work wakeups to `g` (nullptr restores the default).
+  /// Wake `g` on packet arrival and posted work: the comm-thread pool
+  /// binds the gate its servicing thread parks on (nullptr unbinds).
   void bind_gate(wakeup::WaitGate* g);
 
   // ---- statistics --------------------------------------------------------

@@ -27,6 +27,7 @@
 
 #include "charm/chare.hpp"
 #include "charm/ft_apps.hpp"  // fnv1a
+#include "common/hash.hpp"
 #include "common/timing.hpp"
 #include "taskbench/patterns.hpp"
 
@@ -92,7 +93,7 @@ class TaskBenchApp::Task : public charm::Chare {
   Task(TaskBenchApp& app, std::size_t index)
       : app_(app),
         index_(static_cast<std::uint32_t>(index)),
-        state_(charm::fnv1a(14695981039346656037ull, &index_,
+        state_(charm::fnv1a(kFnvOffsetBasis, &index_,
                             sizeof(index_))) {}
 
   void entry(int entry, const void* data, std::size_t bytes,
@@ -201,7 +202,7 @@ class TaskBenchApp::Task : public charm::Chare {
     }
     b.got[slot] = 1;
     b.slot[slot] = charm::fnv1a(
-        14695981039346656037ull,
+        kFnvOffsetBasis,
         static_cast<const std::byte*>(data) + sizeof(hdr),
         bytes - sizeof(hdr));
     ++b.arrived;
@@ -298,7 +299,7 @@ inline TaskBenchApp::TaskBenchApp(charm::Runtime& rt, Params prm)
 }
 
 inline std::uint64_t TaskBenchApp::digest() const {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const Task* t : raw_) h = t->digest_into(h);
   return h;
 }

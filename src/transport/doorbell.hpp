@@ -5,8 +5,9 @@
 //
 // One Doorbell per rank lives in the shared segment header:
 //
-//   * `word` — a 4-byte futex word.  Ringing bumps it and issues a
-//     non-private FUTEX_WAKE (the sleeper is in another process).
+//   * `gate` — the wakeup::WaitGate the poller parks on.  Ringing is
+//     gate.wake(), which makes a (non-private) FUTEX_WAKE only while the
+//     poller is parked, so a ring costs no system call while it is awake.
 //   * `drainers` — how many of the rank's threads currently drain its
 //     rings from their own advance loop (a worker from scheduler start to
 //     exit, a comm thread from waking to parking).
@@ -17,14 +18,13 @@
 //             when forced (a ctrl frame or a full ring) or nobody drains.
 //   drainer   withdraw from `drainers`; seq_cst fence; re-check the rings
 //             and ring if a frame is waiting — the poller drains it.
-//   poller    snapshot `word`; re-check the rings; FUTEX_WAIT on the
-//             snapshot.
+//   poller    gate.park() with "frames waiting" as its re-check.
 //
 // The producer's and the withdrawing drainer's fences pair Dekker-style:
 // either the producer reads the count after the withdrawal (and rings),
 // or the drainer's re-check sees the frame (and rings).  A poller whose
-// re-check missed a frame snapshotted `word` before the ring that
-// follows it, so its FUTEX_WAIT returns at once or is woken.
+// re-check missed a frame snapshotted the gate's epoch before the ring
+// that follows it, so its commit returns at once or is woken.
 //
 // The type is header-only and holds no process-local state, so it can
 // sit in a shared mapping (zero bytes are its initial state) and the
@@ -32,24 +32,16 @@
 // BGQ_SCHED_POINTs.
 #pragma once
 
-#include <linux/futex.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <climits>
 #include <cstdint>
-#include <ctime>
 
 #include "verify/schedule_point.hpp"
+#include "wakeup/wakeup_unit.hpp"
 
 namespace bgq::transport {
 
-struct alignas(64) Doorbell {
-  /// park() without a deadline: only a ring ends the wait.
-  static constexpr std::uint64_t kNoDeadline = UINT64_MAX;
-
-  std::atomic<std::uint32_t> word;
+struct Doorbell {
+  wakeup::WaitGate gate;
   std::atomic<std::uint32_t> drainers;
 
   // ---- producer ---------------------------------------------------------
@@ -63,14 +55,8 @@ struct alignas(64) Doorbell {
     const bool drained = drainers.load(std::memory_order_relaxed) != 0;
     BGQ_SCHED_POINT("doorbell.counted");
     if (drained && !force) return false;
-    ring();
+    gate.wake();
     return true;
-  }
-
-  /// Wake the poller unconditionally (also how it is told to stop).
-  void ring() noexcept {
-    word.fetch_add(1, std::memory_order_seq_cst);
-    futex(FUTEX_WAKE, INT_MAX, nullptr);
   }
 
   // ---- drainer ----------------------------------------------------------
@@ -90,41 +76,9 @@ struct alignas(64) Doorbell {
     const bool waiting = frames_waiting();
     BGQ_SCHED_POINT("doorbell.rechecked");
     if (!waiting) return false;
-    ring();
+    gate.wake();
     return true;
   }
-
-  // ---- poller -----------------------------------------------------------
-
-  /// Sleep until a ring, `timeout_ns` (kNoDeadline: none) or a signal —
-  /// unless `ready` (frames waiting, or a condition whose setter rings
-  /// after setting it, such as a stop flag) holds after the snapshot.
-  template <typename Pred>
-  void park(Pred&& ready, std::uint64_t timeout_ns) noexcept {
-    const std::uint32_t seen = word.load(std::memory_order_seq_cst);
-    BGQ_SCHED_POINT("doorbell.snapshot");
-    if (ready()) return;
-    timespec ts{};
-    timespec* deadline = nullptr;
-    if (timeout_ns != kNoDeadline) {
-      ts.tv_sec = static_cast<time_t>(timeout_ns / 1'000'000'000);
-      ts.tv_nsec = static_cast<long>(timeout_ns % 1'000'000'000);
-      deadline = &ts;
-    }
-    BGQ_SCHED_BLOCK_BEGIN();
-    futex(FUTEX_WAIT, seen, deadline);  // EAGAIN if rung since the snapshot
-    BGQ_SCHED_BLOCK_END();
-  }
-
- private:
-  void futex(int op, std::uint32_t val, const timespec* ts) noexcept {
-    ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), op, val,
-              ts, nullptr, 0);
-  }
 };
-
-static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
-                  std::atomic<std::uint32_t>::is_always_lock_free,
-              "the futex word must be a plain address-free u32");
 
 }  // namespace bgq::transport

@@ -19,7 +19,7 @@ namespace bgq::transport {
 
 namespace {
 
-constexpr std::uint64_t kShmMagic = 0x42475153484d3032ull;  // "BGQSHM02"
+constexpr std::uint64_t kShmMagic = 0x42475153484d3033ull;  // "BGQSHM03"
 constexpr unsigned kMaxShmEndpoints = 64;
 
 std::size_t align64(std::size_t n) { return (n + 63) & ~std::size_t{63}; }
@@ -193,7 +193,7 @@ void ShmTransport::push_frame(unsigned dst, const std::byte* frame,
       // The rank's drainers may be busy: its poller makes the room.
       counters_.ring_full.fetch_add(1, std::memory_order_relaxed);
       counted_full = true;
-      bell.ring();
+      bell.gate.wake();
       note_wake();
     }
     // A dead consumer will never drain its ring; dropping mirrors the
@@ -318,11 +318,11 @@ void ShmTransport::leave_drainers() noexcept {
 
 void ShmTransport::await_frames(const std::atomic<bool>& stop,
                                 std::uint64_t timeout_ns) {
-  hdr_->bells[rank_].park(
+  hdr_->bells[rank_].gate.park(
       [&] { return stop.load(std::memory_order_acquire) || frames_waiting(); },
       timeout_ns);
 }
 
-void ShmTransport::wake_poller() noexcept { hdr_->bells[rank_].ring(); }
+void ShmTransport::wake_poller() noexcept { hdr_->bells[rank_].gate.wake(); }
 
 }  // namespace bgq::transport

@@ -15,9 +15,10 @@
 //
 // Who drains: the threads that advance the rank's PAMI contexts poll the
 // rings from their own advance loop, as a BG/Q thread polls the MU
-// reception FIFOs.  The rank's poller thread sleeps on a futex doorbell
-// in the segment header (transport/doorbell.hpp) and is rung only for
-// ctrl frames, a full ring, or when no thread of the rank drains inline.
+// reception FIFOs.  The rank's poller thread parks on the wait gate of
+// its doorbell in the segment header (transport/doorbell.hpp) and is rung
+// only for ctrl frames, a full ring, or when no thread of the rank drains
+// inline.
 //
 // Frames larger than the ring capacity can never be pushed; the
 // transport rejects them loudly (raise ring_kb) instead of deadlocking.

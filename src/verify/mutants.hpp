@@ -29,6 +29,12 @@
 //       that publishes in between still reads a non-zero count and skips
 //       the ring, so its frame waits on a poller that sleeps forever
 //       (watchdog deadlock).
+//
+//   MutantEarlyRecheckPark — the shm poller re-checks for frames *before*
+//       prepare_wait() announces it on the doorbell's gate.  A frame
+//       published and rung in between bumps the epoch before the poller
+//       snapshots it, so the poller commits on the post-ring epoch and
+//       sleeps forever (watchdog deadlock).
 #pragma once
 
 #include <atomic>
@@ -277,8 +283,20 @@ struct MutantEarlyRecheckDoorbell : transport::Doorbell {
         drainers.fetch_sub(1, std::memory_order_seq_cst) == 1;
     BGQ_SCHED_POINT("mutant.doorbell.withdrawn");
     if (!last || !waiting) return false;
-    ring();
+    gate.wake();
     return true;
+  }
+};
+
+/// BUG: park() re-checks `ready` before prepare_wait() instead of after —
+/// the snapshot no longer precedes the re-check, so a ring that lands
+/// between them is already in the snapshot and wakes nobody.
+struct MutantEarlyRecheckPark : transport::Doorbell {
+  template <typename Pred>
+  void park(Pred&& ready) {
+    if (ready()) return;
+    BGQ_SCHED_POINT("mutant.park.rechecked");
+    gate.commit_wait(gate.prepare_wait());
   }
 };
 

@@ -263,7 +263,7 @@ GateFuzzOutcome fuzz_gate_once(const GateFuzzConfig& cfg) {
         }
         if (done.load(std::memory_order_acquire)) break;
         const auto hp = h.begin(t, OpKind::kPrepare);
-        const std::uint64_t seen = gate.prepare_wait();
+        const auto seen = gate.prepare_wait();
         h.end(hp, seen);
         // The §II protocol: re-check for work after announcing intent.
         if (work.load(std::memory_order_acquire) > 0 ||
@@ -334,6 +334,17 @@ struct DoorbellFuzzOutcome {
   std::string error;  ///< a frame delivered out of order
 };
 
+/// The poller's park: on the doorbell's gate, unless the bell (a mutant)
+/// brings a park of its own.
+template <typename Bell, typename Pred>
+void park_poller(Bell& bell, Pred&& ready) {
+  if constexpr (requires { bell.park(ready); }) {
+    bell.park(ready);
+  } else {
+    bell.gate.park(ready);
+  }
+}
+
 /// One fuzzed schedule of the shm doorbell handshake (the real
 /// transport::Doorbell or a mutant of it) on one ring, in the shm
 /// transport's three roles: a producer that publishes, rings on a full
@@ -373,7 +384,7 @@ DoorbellFuzzOutcome fuzz_doorbell_once(const DoorbellFuzzConfig& cfg) {
     draining.clear(std::memory_order_release);
     // The end of the test, not part of the handshake: a parked poller
     // learns that someone else delivered the last frame.
-    if (n != 0 && all_delivered()) bell.ring();
+    if (n != 0 && all_delivered()) bell.gate.wake();
     return n;
   };
 
@@ -389,8 +400,7 @@ DoorbellFuzzOutcome fuzz_doorbell_once(const DoorbellFuzzConfig& cfg) {
   bodies.emplace_back([&] {  // poller
     while (!all_delivered()) {
       if (poll() != 0) continue;
-      bell.park([&] { return frames_waiting() || all_delivered(); },
-                Bell::kNoDeadline);
+      park_poller(bell, [&] { return frames_waiting() || all_delivered(); });
     }
   });
   bodies.emplace_back([&] {  // producer
@@ -398,7 +408,7 @@ DoorbellFuzzOutcome fuzz_doorbell_once(const DoorbellFuzzConfig& cfg) {
       const auto b = static_cast<std::byte>(f);
       bool rang = false;
       while (!ring.try_push(&b, 1)) {
-        if (!rang) bell.ring();  // full ring: the poller makes room
+        if (!rang) bell.gate.wake();  // full ring: the poller makes room
         rang = true;
       }
       bell.notify(/*force=*/false);
@@ -410,7 +420,7 @@ DoorbellFuzzOutcome fuzz_doorbell_once(const DoorbellFuzzConfig& cfg) {
   ro.replay = cfg.replay;
   ro.deterministic_fallback = cfg.deterministic_fallback;
   ro.watchdog = cfg.watchdog;
-  ro.rescue = [&] { bell.ring(); };
+  ro.rescue = [&] { bell.gate.wake(); };
 
   DoorbellFuzzOutcome out;
   out.run = run_schedule(ro, bodies);

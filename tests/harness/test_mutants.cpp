@@ -21,6 +21,7 @@ using bgq::harness::GateFuzzConfig;
 using bgq::harness::QueueFuzzConfig;
 using bgq::test_support::announce_seed;
 using bgq::verify::MutantEarlyRecheckDoorbell;
+using bgq::verify::MutantEarlyRecheckPark;
 using bgq::verify::MutantLatchGate;
 using bgq::verify::MutantNoDrainQueue;
 using bgq::verify::MutantRacyTicketQueue;
@@ -145,6 +146,31 @@ TEST(Mutants, EarlyRecheckDoorbellLosesWakeup) {
       << "early-recheck doorbell mutant survived 2000 fuzzed schedules";
   std::fprintf(stderr,
                "[ MUTANT   ] early-recheck-doorbell detected after %llu "
+               "schedules\n",
+               static_cast<unsigned long long>(detected_at));
+}
+
+TEST(Mutants, EarlyRecheckParkLosesWakeup) {
+  // The poller re-checks the ring before it announces itself on the
+  // gate: a frame published and rung in between bumps the epoch before
+  // the poller's snapshot, so the ring wakes nobody and the poller —
+  // parked with no deadline — sleeps through the frame.  Detection is
+  // the watchdog deadlock; the rescue wake un-wedges the run afterwards.
+  const std::uint64_t base = announce_seed("Mutants.EarlyRecheckPark", 0xD00D);
+  std::uint64_t detected_at = 0;
+  for (std::uint64_t i = 0; i < 2000 && !detected_at; ++i) {
+    DoorbellFuzzConfig cfg{2, 4, 2};
+    cfg.seed = base + i;
+    cfg.watchdog = std::chrono::milliseconds(3000);
+    const auto out = fuzz_doorbell_once<MutantEarlyRecheckPark>(cfg);
+    if (out.run.deadlocked || out.delivered != cfg.frames) {
+      detected_at = i + 1;
+    }
+  }
+  ASSERT_NE(detected_at, 0u)
+      << "early-recheck park mutant survived 2000 fuzzed schedules";
+  std::fprintf(stderr,
+               "[ MUTANT   ] early-recheck-park detected after %llu "
                "schedules\n",
                static_cast<unsigned long long>(detected_at));
 }

@@ -136,15 +136,6 @@ TEST(PriorityMsgQueue, ClassesTrackDistinctPriorities) {
 // Spin helpers
 // ---------------------------------------------------------------------------
 
-TEST(Spin, BackoffEscalatesToYield) {
-  bgq::Backoff b;
-  EXPECT_FALSE(b.saturated());
-  for (int i = 0; i < 10; ++i) b.pause();
-  EXPECT_TRUE(b.saturated());
-  b.reset();
-  EXPECT_FALSE(b.saturated());
-}
-
 TEST(Spin, SpinUntilObservesFlagUnderEveryPolicy) {
   using bgq::IdlePollPolicy;
   for (auto policy : {IdlePollPolicy::kHotSpin, IdlePollPolicy::kL2Paced,
@@ -154,8 +145,7 @@ TEST(Spin, SpinUntilObservesFlagUnderEveryPolicy) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       flag.store(true, std::memory_order_release);
     });
-    bgq::spin_until(
-        [&] { return flag.load(std::memory_order_acquire); }, policy);
+    while (!flag.load(std::memory_order_acquire)) bgq::idle_pause(policy);
     setter.join();
     SUCCEED();
   }

@@ -10,6 +10,7 @@
 #include "net/packet.hpp"
 #include "net/params.hpp"
 #include "topology/torus.hpp"
+#include "wakeup/wakeup_unit.hpp"
 
 namespace {
 
@@ -151,6 +152,8 @@ TEST(Fabric, PacketArrivalWakesGate) {
   Torus t({2});
   Fabric f(t, NetworkParams{}, 1);
   auto& fifo = f.reception_fifo(1, 0);
+  bgq::wakeup::WaitGate gate;
+  fifo.bind_gate(&gate);
 
   std::atomic<bool> got_packet{false};
   std::thread commthread([&] {
@@ -160,12 +163,7 @@ TEST(Fabric, PacketArrivalWakesGate) {
         got_packet.store(true);
         return;
       }
-      const auto seen = fifo.gate().prepare_wait();
-      if (!fifo.empty()) {
-        fifo.gate().cancel_wait();
-        continue;
-      }
-      fifo.gate().commit_wait(seen);
+      gate.park([&] { return !fifo.empty(); });
     }
   });
 

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "charm/ft_apps.hpp"
+#include "common/hash.hpp"
 #include "net/fault.hpp"
 #include "transport/config.hpp"
 #include "transport/shm.hpp"
@@ -711,7 +712,7 @@ std::uint64_t merged_digest(const RankResult& r0, const RankResult& r1,
     all[i] = d;
   }
   EXPECT_EQ(all.size(), expect_elems) << "element coverage has gaps";
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = bgq::kFnvOffsetBasis;
   for (const auto& [i, d] : all) {
     (void)i;
     h = bgq::charm::fnv1a(h, &d, sizeof(d));

@@ -1,15 +1,19 @@
 // Tests for the wakeup-unit emulation (src/wakeup).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "wakeup/wakeup_unit.hpp"
 
 namespace {
 
 using bgq::wakeup::WaitGate;
-using bgq::wakeup::WakeupUnit;
 
 TEST(WaitGate, WakeBeforeCommitDoesNotBlock) {
   WaitGate g;
@@ -112,15 +116,63 @@ TEST(WaitGate, MultipleSleepersAllWoken) {
   EXPECT_EQ(awake.load(), 4);
 }
 
-TEST(WakeupUnit, GatesAreIndependent) {
-  WakeupUnit wu(3);
-  EXPECT_EQ(wu.gate_count(), 3u);
-  const auto seen = wu.gate(1).prepare_wait();
-  wu.gate(0).wake();  // different gate: must not satisfy gate 1
-  EXPECT_TRUE(wu.gate(1).has_waiters());
-  wu.gate(1).wake();
-  wu.gate(1).commit_wait(seen);
-  EXPECT_GE(wu.total_wakeups(), 1u);
+TEST(WaitGate, GatesAreIndependent) {
+  WaitGate a;
+  WaitGate b;
+  const auto seen = b.prepare_wait();
+  a.wake();  // different gate: must not satisfy b
+  EXPECT_TRUE(b.has_waiters());
+  b.wake();
+  b.commit_wait(seen);
+  EXPECT_FALSE(b.has_waiters());
+}
+
+TEST(WaitGate, DeadlineEndsAParkWithoutAWake) {
+  WaitGate g;
+  const auto seen = g.prepare_wait();
+  const auto t0 = std::chrono::steady_clock::now();
+  g.commit_wait(seen, 2'000'000);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(2));
+  EXPECT_FALSE(g.has_waiters());
+}
+
+TEST(WaitGate, ParksAcrossProcesses) {
+  // The shm transport's layout: the gate sits in a shared mapping and is
+  // never constructed — a fresh mapping's zero bytes are its initial
+  // state — and the parked thread and the waker are different processes.
+  struct Shared {
+    WaitGate gate;
+    std::atomic<std::uint32_t> flag;
+  };
+  void* page = ::mmap(nullptr, sizeof(Shared), PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  auto* shared = static_cast<Shared*>(page);
+  auto flag_set = [shared] {
+    return shared->flag.load(std::memory_order_acquire) != 0;
+  };
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    constexpr std::uint64_t kDeadlineNs = 5'000'000'000;
+    const auto t0 = std::chrono::steady_clock::now();
+    shared->gate.park(flag_set, kDeadlineNs);
+    const bool in_time = std::chrono::steady_clock::now() - t0 <
+                         std::chrono::nanoseconds(kDeadlineNs);
+    ::_exit(flag_set() && in_time ? 0 : 1);
+  }
+  // Give the child a chance to park (not required for correctness).
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  shared->flag.store(1, std::memory_order_release);
+  shared->gate.wake();
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status)) << "child did not exit normally";
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "child missed the flag or slept to its deadline";
+  ::munmap(page, sizeof(Shared));
 }
 
 }  // namespace

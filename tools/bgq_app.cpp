@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "charm/ft_apps.hpp"
+#include "common/hash.hpp"
 #include "trace/json.hpp"
 #include "transport/config.hpp"
 
@@ -137,7 +138,7 @@ void collect(const App& app, const Machine& mach,
 /// Fold per-element digests in element order — the combined job digest a
 /// launcher reproduces from the merged rank reports.
 std::uint64_t fold(const std::vector<ElemDigest>& elems) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = bgq::kFnvOffsetBasis;
   for (const ElemDigest& e : elems) {
     h = bgq::charm::fnv1a(h, &e.digest, sizeof(e.digest));
   }

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "trace/json.hpp"
 #include "transport/shm.hpp"
 
@@ -125,15 +126,6 @@ std::uint64_t now_ms() {
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<std::uint64_t>(ts.tv_sec) * 1000u +
          static_cast<std::uint64_t>(ts.tv_nsec) / 1000000u;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 char hex_digit(unsigned v) {
@@ -383,7 +375,7 @@ int main(int argc, char** argv) {
   }
   // Gap check: the job's elements are dense 0..K-1 and every one must
   // have exactly one home among the reporting ranks.
-  std::uint64_t combined = 14695981039346656037ull;
+  std::uint64_t combined = bgq::kFnvOffsetBasis;
   const std::uint64_t expect =
       elements.empty() ? 0 : elements.rbegin()->first + 1;
   for (std::uint64_t e = 0; e < expect; ++e) {
@@ -394,7 +386,7 @@ int main(int argc, char** argv) {
       ok = false;
       continue;
     }
-    combined = fnv1a(combined, &it->second, sizeof(it->second));
+    combined = bgq::fnv1a(combined, &it->second, sizeof(it->second));
   }
   if (elements.empty()) ok = false;
 
