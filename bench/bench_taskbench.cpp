@@ -13,6 +13,11 @@
 // The interesting regime is the paper's: many tiny messages (16-64 B),
 // where per-message software overhead dominates wire time and batching
 // amortizes it (EXPERIMENTS.md records the shape criterion).
+//
+// Each pattern's METG(50%) on the plain path, Task Bench's headline
+// metric, closes the report: the smallest task grain, in compute µs per
+// task, at which the run still spends half of its PE time in task
+// kernels.
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -85,6 +90,35 @@ double overhead_ns_per_msg(const RunResult& r, unsigned workers) {
       static_cast<double>(r.busy_ns) / static_cast<double>(workers);
   const double oh = static_cast<double>(r.elapsed_ns) - compute;
   return (oh < 0 ? 0.0 : oh) / static_cast<double>(r.msgs);
+}
+
+/// METG(50%) of one pattern on the plain path: doubles `grain` until
+/// efficiency, busy / (wall x PEs), reaches 0.5, then interpolates the
+/// compute µs per task between the last two points.  Runs kMetgSteps
+/// steps, so the machine's start-up stays a small part of the wall.
+/// Returns 0 when even the largest grain stays under 50%.
+double metg50_us(taskbench::Params prm, unsigned workers) {
+  constexpr std::uint32_t kMetgSteps = 200;
+  constexpr std::uint32_t kFirstGrain = 64;
+  constexpr std::uint32_t kMaxGrain = 1u << 22;
+  prm.steps = kMetgSteps;
+  const double tasks = static_cast<double>(prm.width) * prm.steps;
+  double prev_us = 0.0, prev_eff = 0.0;
+  for (std::uint32_t g = kFirstGrain; g <= kMaxGrain; g *= 2) {
+    prm.grain = g;
+    const RunResult r = run_pattern(prm, /*aggregated=*/false);
+    const double busy = static_cast<double>(r.busy_ns);
+    const double eff =
+        busy / (static_cast<double>(r.elapsed_ns) * workers);
+    const double us = busy * 1e-3 / tasks;
+    if (eff >= 0.5) {
+      if (g == kFirstGrain) return us;
+      return prev_us + (0.5 - prev_eff) * (us - prev_us) / (eff - prev_eff);
+    }
+    prev_us = us;
+    prev_eff = eff;
+  }
+  return 0.0;
 }
 
 /// Streaming small-message flood PE 0 -> PE (other process): delivered
@@ -227,6 +261,19 @@ int main(int argc, char** argv) {
     json.add(key + ".speedup", speedup);
   }
   rates.print();
+
+  std::printf("\n== METG(50%%), plain path: compute us per task at 50%% "
+              "efficiency ==\n\n");
+  TextTable metg({"pattern", "metg50_us"});
+  for (taskbench::Pattern p : taskbench::kAllPatterns) {
+    prm.pattern = p;
+    const double us = metg50_us(prm, workers);
+    metg.row(taskbench::pattern_name(p), us);
+    json.add(std::string("taskbench.") + taskbench::pattern_name(p) +
+                 ".metg50_us",
+             us);
+  }
+  metg.print();
 
   if (!all_match) {
     std::fprintf(stderr, "bench_taskbench: DIGEST MISMATCH — aggregation "

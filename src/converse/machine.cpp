@@ -298,7 +298,7 @@ Process::Process(Machine& machine, pami::EndpointId endpoint)
   if (cfg.reliable) client_->enable_reliability(cfg.reliability);
   register_dispatches();
   for (unsigned i = 0; i < client_->context_count(); ++i) {
-    context_sends_.push_back({this, &client_->context(i)});
+    client_->context(i).set_send_handler(&Process::posted_send, this);
   }
 
   pes_.reserve(workers);
@@ -355,14 +355,22 @@ void Process::net_send(Pe& src_pe, Message* m) {
     const unsigned idx = pami::CommThreadPool::route(
         src_pe.local_index(), src_pe.send_seq_++,
         client_->context_count());
-    // Two pointers, so std::function holds the closure inline and the
-    // post costs one allocation (its work item); the destination PE
-    // travels in the header.
-    const ContextSend* cs = &context_sends_[idx];
-    cs->ctx->post_work([cs, m] { cs->proc->send_on_context(*cs->ctx, m); });
+    // The message is its own send descriptor (the destination PE travels
+    // in its header): the handoff allocates nothing.
+    client_->context(idx).post_send(m);
     return;
   }
   send_on_context(*src_pe.owned_context_, m);
+}
+
+void Process::posted_send(void* self, pami::Context* ctx, void* item) {
+  auto* proc = static_cast<Process*>(self);
+  auto* m = static_cast<Message*>(item);
+  if (ctx == nullptr) {
+    proc->allocator_->deallocate(current_tid(), m->raw());
+    return;
+  }
+  proc->send_on_context(*ctx, m);
 }
 
 void Process::send_on_context(pami::Context& ctx, Message* m) {

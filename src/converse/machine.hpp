@@ -256,6 +256,10 @@ class Process {
   void register_dispatches();
   /// Send `m` (to the PE in its header) on `ctx`, eager or rendezvous.
   void send_on_context(pami::Context& ctx, Message* m);
+  /// The contexts' handler of posted sends (pami::Context::SendFn):
+  /// `item` is a Message that net_send handed to a comm thread; a null
+  /// `ctx` means the context died first, and the message is freed.
+  static void posted_send(void* self, pami::Context* ctx, void* item);
 
   /// Hand a received message to its destination PE (inline in non-SMP).
   void deliver(Message* m);
@@ -271,12 +275,6 @@ class Process {
   std::unique_ptr<pami::Client> client_;
   std::vector<std::unique_ptr<Pe>> pes_;
   std::unique_ptr<pami::CommThreadPool> comm_pool_;
-  /// Per context, what a comm-thread send closure needs (net_send).
-  struct ContextSend {
-    Process* proc;
-    pami::Context* ctx;
-  };
-  std::vector<ContextSend> context_sends_;
   /// Allocator slot of the transport poller (the last one; multi-process
   /// jobs only — the poller allocates the inbound packets it drains).
   alloc::ThreadId poller_slot_ = alloc::kNoSlot;

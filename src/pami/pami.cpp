@@ -15,7 +15,7 @@ namespace bgq::pami {
 // ---------------------------------------------------------------------------
 
 Context::Context(Client& client, std::uint16_t index)
-    : client_(client), index_(index), work_(1024) {}
+    : client_(client), index_(index), work_(1024), posted_sends_(1024) {}
 
 Context::~Context() {
   for (auto& [key, ch] : chans_) {
@@ -23,8 +23,13 @@ Context::~Context() {
   }
   for (net::Packet* p : backlog_) p->release();
   // A killed process's contexts die with posted work still queued (the
-  // monitor may have raced a heartbeat post against the kill).
+  // monitor may have raced a heartbeat post against the kill), and a run
+  // that stops its comm threads may leave posted sends behind: hand those
+  // back to their owner to free.
   while (WorkItem* w = work_.try_dequeue()) delete w;
+  while (void* item = posted_sends_.try_dequeue()) {
+    send_fn_(send_owner_, nullptr, item);
+  }
 }
 
 net::ReceptionFifo& Context::fifo() {
@@ -137,10 +142,17 @@ std::size_t Context::advance(std::size_t max_events) {
     // An empty FIFO: pull the rank's inbound frames into it, as a BG/Q
     // context polls the MU reception FIFOs itself.
     if (drain_ != nullptr && drain_->poll() != 0) continue;
+    // Control work before sends, so a send flood cannot starve a
+    // heartbeat.
     if (WorkItem* w = work_.try_dequeue()) {
       w->fn();
       delete w;
       ++work_done_;
+      ++events;
+      continue;
+    }
+    if (void* item = posted_sends_.try_dequeue()) {
+      send_fn_(send_owner_, this, item);
       ++events;
       continue;
     }
@@ -404,15 +416,21 @@ std::size_t Context::reliability_tick() {
   return activity;
 }
 
+void Context::post_send(void* item) {
+  posted_sends_.enqueue(item);
+  // Same gate as packet arrivals: the advancing thread parks in one place.
+  fifo().wake();
+}
+
 void Context::post_work(std::function<void()> fn) {
   work_.enqueue(new WorkItem{std::move(fn)});
-  // Same gate as packet arrivals: the advancing thread parks in one place.
   fifo().wake();
 }
 
 bool Context::has_pending() const {
   auto& self = const_cast<Context&>(*this);
-  return !self.fifo().empty() || !self.work_.empty();
+  return !self.fifo().empty() || !self.work_.empty() ||
+         !self.posted_sends_.empty();
 }
 
 void Context::bind_gate(wakeup::WaitGate* g) { fifo().bind_gate(g); }

@@ -16,14 +16,19 @@
 //                                                     multi-process ranks
 //                                                     also drain the
 //                                                     transport)
-//   work queues         -> Context::post_work        (lockless, executed by
-//                                                     the advancing thread)
+//   PAMI_Context_post   -> Context::post_send        (lockless handoff of a
+//                                                     caller-owned send
+//                                                     descriptor to the
+//                                                     advancing thread; no
+//                                                     allocation)
+//   work queues         -> Context::post_work        (lockless closure for
+//                                                     rare control work)
 //
 // Thread contract (same as PAMI): distinct contexts may be driven by
 // distinct threads concurrently with no locks; calls into ONE context must
-// be externally serialized.  post_work() is the exception — it is the
-// lockless MPSC channel any thread may use to hand work to the thread
-// advancing the context.
+// be externally serialized.  post_send() and post_work() are the
+// exception — they are the lockless MPSC channels any thread may use to
+// hand work to the thread advancing the context.
 #pragma once
 
 #include <array>
@@ -87,8 +92,8 @@ struct SendParams {
   bool best_effort = false;
 };
 
-/// One PAMI context: a reception FIFO, a lockless work queue, and the send
-/// machinery.  Created via Client.
+/// One PAMI context: a reception FIFO, lockless queues of posted sends and
+/// work, and the send machinery.  Created via Client.
 class Context {
  public:
   /// PAMI_Send_immediate limit on BG/Q (payload + metadata must fit one
@@ -150,11 +155,31 @@ class Context {
     if (drain_ != nullptr) drain_->leave_drainers();
   }
 
+  /// What the advancing thread does with a send handed over by
+  /// post_send(): `fn(owner, ctx, item)` sends `item` on `ctx`.  A context
+  /// destroyed with sends still queued calls `fn(owner, nullptr, item)`
+  /// for each instead, and the owner frees what never went out.
+  using SendFn = void (*)(void* owner, Context* ctx, void* item);
+
+  /// Set the handler of posted sends, once, before the first post_send().
+  void set_send_handler(SendFn fn, void* owner) noexcept {
+    send_fn_ = fn;
+    send_owner_ = owner;
+  }
+
+  /// Hand `item`, a send descriptor the caller owns, to whichever thread
+  /// advances this context; that thread passes it to the send handler.
+  /// Lockless MPSC and allocation-free (the queue spills under a lock only
+  /// when its ring is full); wakes the advancing thread if it is parked.
+  void post_send(void* item);
+
   /// Hand a closure to whichever thread advances this context (lockless
-  /// MPSC; wakes the advancing thread if it is parked).
+  /// MPSC; wakes the advancing thread if it is parked).  Allocates a work
+  /// item per call: for rare control work, not per-message sends.
   void post_work(std::function<void()> fn);
 
-  /// True when the FIFO or the work queue has anything pending.
+  /// True when the FIFO, the posted sends or the work queue has anything
+  /// pending.
   bool has_pending() const;
 
   /// True when the reliability layer has timed work (unacked packets or a
@@ -249,6 +274,9 @@ class Context {
   transport::Transport* drain_ = nullptr;  ///< what advance() drains, or null
 
   queue::L2AtomicQueue<WorkItem*> work_;
+  queue::L2AtomicQueue<void*> posted_sends_;
+  SendFn send_fn_ = nullptr;
+  void* send_owner_ = nullptr;
 
   // Channels keyed by (peer endpoint << 16) | peer context.  Only the
   // advancing thread touches this (PAMI thread contract), so no locks.

@@ -35,14 +35,26 @@ inline constexpr Pattern kAllPatterns[] = {
 const char* pattern_name(Pattern p) noexcept;
 std::optional<Pattern> parse_pattern(std::string_view name) noexcept;
 
-/// Tasks of step `step-1` whose output task (`step`, `task`) consumes.
-/// Step 0 has no dependencies.  Sorted, duplicate-free, all < width.
+/// Tasks of step `step-1` whose output task (`step`, `task`) consumes,
+/// written into `out` (its old contents are dropped; it allocates only
+/// when `out` must grow).  Step 0 has no dependencies.  Sorted,
+/// duplicate-free, all < width.
+void dependencies(Pattern p, std::uint32_t width, std::uint32_t step,
+                  std::uint32_t task, std::vector<std::uint32_t>& out);
+
+/// Tasks of step `step+1` that consume the output of (`step`, `task`) —
+/// the inverse of dependencies(), which is what a sender needs — written
+/// into `out` like dependencies().  Closed form per pattern, as in Task
+/// Bench's core library: stencil and fft are their own inverses, tree
+/// swaps fan-in and fan-out, spread subtracts the step's offsets, and
+/// random tests each task's two forward picks.
+void dependents(Pattern p, std::uint32_t width, std::uint32_t step,
+                std::uint32_t task, std::vector<std::uint32_t>& out);
+
+/// Value forms of the two above (one allocation per call).
 std::vector<std::uint32_t> dependencies(Pattern p, std::uint32_t width,
                                         std::uint32_t step,
                                         std::uint32_t task);
-
-/// Tasks of step `step+1` that consume the output of (`step`, `task`) —
-/// the inverse of dependencies(), which is what a sender needs.
 std::vector<std::uint32_t> dependents(Pattern p, std::uint32_t width,
                                       std::uint32_t step,
                                       std::uint32_t task);

@@ -132,8 +132,8 @@ class TaskBenchApp::Task : public charm::Chare {
     p(state_);
     p(step_);
     if (p.unpacking()) {
-      banks_[0] = Bank{};
-      banks_[1] = Bank{};
+      banks_[0].reset();
+      banks_[1].reset();
       started_ = false;
     }
   }
@@ -159,20 +159,30 @@ class TaskBenchApp::Task : public charm::Chare {
   /// Per-consume-step receive state.  At most two steps are in flight at
   /// once — the barrier reduction for step t completes before anyone
   /// executes t+1 and ships t+2 data — so two parity-indexed banks
-  /// suffice.
+  /// suffice.  A bank keeps its vectors' storage from step to step, so
+  /// once both have seen the widest dependency list no step allocates.
   struct Bank {
     std::uint32_t step = UINT32_MAX;
     std::vector<std::uint32_t> deps;       ///< sorted dependency list
     std::vector<std::uint64_t> slot;       ///< payload digest per dep
     std::vector<std::uint8_t> got;
     std::uint32_t arrived = 0;
+
+    /// Empty, for no step; the storage stays.
+    void reset() {
+      step = UINT32_MAX;
+      deps.clear();
+      slot.clear();
+      got.clear();
+      arrived = 0;
+    }
   };
 
   Bank& bank_for(std::uint32_t s) {
     Bank& b = banks_[s % 2];
     if (b.step != s) {
       b.step = s;
-      b.deps = dependencies(app_.prm_.pattern, app_.prm_.width, s, index_);
+      dependencies(app_.prm_.pattern, app_.prm_.width, s, index_, b.deps);
       b.slot.assign(b.deps.size(), 0);
       b.got.assign(b.deps.size(), 0);
       b.arrived = 0;
@@ -228,7 +238,7 @@ class TaskBenchApp::Task : public charm::Chare {
     for (std::size_t i = 0; i < b.slot.size(); ++i) {
       state_ = charm::fnv1a(state_, &b.slot[i], sizeof(b.slot[i]));
     }
-    banks_[step_ % 2] = Bank{};
+    b.reset();
     started_ = false;
 
     ++step_;
@@ -240,25 +250,26 @@ class TaskBenchApp::Task : public charm::Chare {
 
   /// Ship this task's step_-1 output to every step_ consumer.  A pure
   /// function of (state_, step_), so a post-rollback resume() re-sends
-  /// byte-identical payloads.
+  /// byte-identical payloads.  The payload and the consumer list are
+  /// built once per step, into buffers the task keeps.
   void ship_outputs(charm::EntryContext& ctx) {
     if (step_ == 0 || step_ >= app_.prm_.steps) return;
     const std::uint32_t nbytes = app_.prm_.payload_bytes;
-    std::vector<std::byte> buf(sizeof(DataHdr) + nbytes);
+    payload_.resize(sizeof(DataHdr) + nbytes);
     DataHdr hdr{step_, index_};
-    std::memcpy(buf.data(), &hdr, sizeof(hdr));
+    std::memcpy(payload_.data(), &hdr, sizeof(hdr));
     for (std::uint32_t i = 0; i < nbytes; ++i) {
-      buf[sizeof(hdr) + i] = static_cast<std::byte>(
+      payload_[sizeof(hdr) + i] = static_cast<std::byte>(
           (state_ >> ((i % 8) * 8)) ^ (std::uint64_t{i} * 131));
     }
-    const auto outs =
-        dependents(app_.prm_.pattern, app_.prm_.width, step_ - 1, index_);
-    for (std::uint32_t d : outs) {
-      ctx.send(d, kData, buf.data(), buf.size());
+    dependents(app_.prm_.pattern, app_.prm_.width, step_ - 1, index_,
+               outs_);
+    for (std::uint32_t d : outs_) {
+      ctx.send(d, kData, payload_.data(), payload_.size());
     }
-    app_.data_msgs_.fetch_add(outs.size(), std::memory_order_relaxed);
+    app_.data_msgs_.fetch_add(outs_.size(), std::memory_order_relaxed);
     app_.data_bytes_.fetch_add(
-        static_cast<std::uint64_t>(outs.size()) * buf.size(),
+        static_cast<std::uint64_t>(outs_.size()) * payload_.size(),
         std::memory_order_relaxed);
   }
 
@@ -281,6 +292,8 @@ class TaskBenchApp::Task : public charm::Chare {
   std::uint32_t step_ = 0;
   bool started_ = false;  ///< kStep for step_ has arrived
   Bank banks_[2];
+  std::vector<std::uint32_t> outs_;  ///< ship_outputs: consumers
+  std::vector<std::byte> payload_;   ///< ship_outputs: the wire payload
 
   friend class TaskBenchApp;
 };

@@ -120,7 +120,14 @@ FuzzOutcome fuzz_once(std::uint64_t seed, const std::string& plan_spec) {
       p.dispatch = kDispatch;
       p.payload = w.data();
       p.payload_bytes = w.bytes();
-      ctx.send_immediate(p);
+      // A record carries the MsgHeader compiled in, 16 B larger with
+      // BGQ_TRACE, so pick the send flavour from the batch's size as the
+      // machine layer does.
+      if (p.payload_bytes <= Context::kImmediateMax) {
+        ctx.send_immediate(p);
+      } else {
+        ctx.send(p);
+      }
       w.clear();
     }
     for (std::uint64_t iter = 0;; ++iter) {

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "pami/comm_thread.hpp"
 #include "pami/pami.hpp"
@@ -150,6 +152,27 @@ TEST(Pami, PostWorkRunsOnAdvancingThread) {
   EXPECT_EQ(h.a.context(0).work_executed(), 1u);
 }
 
+TEST(Pami, DestroyedContextHandsBackPostedSends) {
+  struct Tally {
+    int sent = 0;
+    int dropped = 0;
+  } tally;
+  int items[3] = {};
+  {
+    TwoNodeHarness h;
+    h.a.context(0).set_send_handler(
+        [](void* owner, Context* ctx, void*) {
+          auto* t = static_cast<Tally*>(owner);
+          ++(ctx != nullptr ? t->sent : t->dropped);
+        },
+        &tally);
+    for (int& item : items) h.a.context(0).post_send(&item);
+    EXPECT_EQ(h.a.context(0).advance(1), 1u);
+  }
+  EXPECT_EQ(tally.sent, 1);
+  EXPECT_EQ(tally.dropped, 2) << "queued sends must go back to their owner";
+}
+
 TEST(Pami, AdvanceHonorsMaxEvents) {
   TwoNodeHarness h;
   for (int i = 0; i < 5; ++i) {
@@ -206,6 +229,80 @@ TEST(CommThread, WakesFromParkOnPacketArrival) {
   while (received.load() == 0) std::this_thread::yield();
   pool.stop();
   EXPECT_EQ(received.load(), 1);
+}
+
+/// Polls `done` until it holds or 5 s pass; false on the deadline.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+/// A posted-send handler that counts the items it sends in the
+/// std::atomic<int> its owner points at.
+void count_sends(void* owner, Context* ctx, void*) {
+  if (ctx != nullptr) static_cast<std::atomic<int>*>(owner)->fetch_add(1);
+}
+
+TEST(CommThread, WakesFromParkOnPostedSend) {
+  TwoNodeHarness h;
+  std::atomic<int> handled{0};
+  h.a.context(0).set_send_handler(count_sends, &handled);
+
+  CommThreadPool pool({&h.a.context(0)}, 1);
+  ASSERT_TRUE(eventually([&] { return pool.parks() > 0; }))
+      << "idle comm thread should have parked";
+
+  int item = 0;
+  h.a.context(0).post_send(&item);
+  const bool sent = eventually([&] { return handled.load() == 1; });
+  pool.stop();
+  EXPECT_TRUE(sent)
+      << "a send posted to a parked comm thread was never handled";
+}
+
+TEST(CommThread, PostedSendsFromManyThreadsRunExactlyOnce) {
+  // Everything is posted before the pool starts, so each context's
+  // 1 024-slot ring fills and the rest spills to its overflow queue.
+  constexpr int kThreads = 4;
+  constexpr int kItems = 10000;
+  TwoNodeHarness h;
+  // Each item is the counter of its own runs; the owner counts them all.
+  std::vector<std::atomic<int>> runs(kItems);
+  std::atomic<int> handled{0};
+  auto run_once = [](void* owner, Context* ctx, void* item) {
+    if (ctx == nullptr) return;
+    static_cast<std::atomic<int>*>(item)->fetch_add(1);
+    static_cast<std::atomic<int>*>(owner)->fetch_add(1);
+  };
+  for (unsigned c = 0; c < 2; ++c) {
+    h.a.context(c).set_send_handler(run_once, &handled);
+  }
+
+  // Thread t posts items t, t + 4, ..., alternating between the contexts.
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kThreads; ++t) {
+    posters.emplace_back([&, t] {
+      for (int i = t; i < kItems; i += kThreads) {
+        h.a.context(static_cast<unsigned>(i / kThreads) % 2)
+            .post_send(&runs[i]);
+      }
+    });
+  }
+  for (auto& t : posters) t.join();
+
+  CommThreadPool pool({&h.a.context(0), &h.a.context(1)}, 2);
+  eventually([&] { return handled.load() >= kItems; });
+  pool.stop();
+  ASSERT_EQ(handled.load(), kItems);
+  for (int i = 0; i < kItems; ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "item " << i;
+  }
 }
 
 TEST(CommThread, RouteSpreadsLoadEvenly) {

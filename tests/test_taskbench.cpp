@@ -1,12 +1,14 @@
 // Task Bench conformance: the dependence patterns as pure functions
-// (sorted, deduped, in range, exact producer/consumer inverses), and the
-// runner's digest invariance — aggregated vs plain runs of every pattern
-// must be bit-identical, with a clean fabric, under a chaos plan, and
-// across a crash + rollback replay.
+// (sorted, deduped, in range, closed-form inverses that match a
+// brute-force scan, caller-storage forms that match the value forms),
+// and the runner's digest invariance — aggregated vs plain runs of every
+// pattern must be bit-identical, with a clean fabric, under a chaos plan,
+// and across a crash + rollback replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "net/fault.hpp"
 #include "taskbench/patterns.hpp"
@@ -61,21 +63,64 @@ TEST(TaskbenchPatterns, DependenciesAreSortedUniqueAndInRange) {
   }
 }
 
+/// The inverse by definition: every task of step `step+1` whose
+/// dependency list holds `producer`.
+std::vector<std::uint32_t> brute_force_dependents(Pattern p,
+                                                  std::uint32_t width,
+                                                  std::uint32_t step,
+                                                  std::uint32_t producer) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t consumer = 0; consumer < width; ++consumer) {
+    const auto deps = dependencies(p, width, step + 1, consumer);
+    if (std::binary_search(deps.begin(), deps.end(), producer)) {
+      out.push_back(consumer);
+    }
+  }
+  return out;
+}
+
+// Widths 1-3 hit the clamps (spread's stride, log2_ceil(1), the tree
+// folding past the width), and the widths that are not powers of two
+// hit fft's missing partners.  64 steps cycle fft's bit, move spread's
+// offsets all the way round and redraw random's picks.
+constexpr std::uint32_t kMaxWidth = 33;
+constexpr std::uint32_t kSteps = 64;
+
 TEST(TaskbenchPatterns, DependentsAreTheExactInverseOfDependencies) {
-  constexpr std::uint32_t kWidth = 9;
   for (Pattern p : kAllPatterns) {
-    for (std::uint32_t s = 0; s + 1 < 8; ++s) {
-      for (std::uint32_t producer = 0; producer < kWidth; ++producer) {
-        const auto outs = dependents(p, kWidth, s, producer);
-        for (std::uint32_t consumer = 0; consumer < kWidth; ++consumer) {
-          const auto deps = dependencies(p, kWidth, s + 1, consumer);
-          const bool produces =
-              std::binary_search(outs.begin(), outs.end(), consumer);
-          const bool consumes =
-              std::binary_search(deps.begin(), deps.end(), producer);
-          EXPECT_EQ(produces, consumes)
-              << pattern_name(p) << " step " << s << ": " << producer
-              << " -> " << consumer;
+    for (std::uint32_t w = 1; w <= kMaxWidth; ++w) {
+      for (std::uint32_t s = 0; s < kSteps; ++s) {
+        // One past the width too: an out-of-range producer feeds no one.
+        for (std::uint32_t producer = 0; producer <= w; ++producer) {
+          ASSERT_EQ(dependents(p, w, s, producer),
+                    brute_force_dependents(p, w, s, producer))
+              << pattern_name(p) << " width " << w << " step " << s
+              << " producer " << producer;
+        }
+      }
+    }
+  }
+}
+
+TEST(TaskbenchPatterns, CallerStorageFormsMatchValueForms) {
+  // One output vector reused throughout, refilled with junk before every
+  // call: the caller-storage forms must return exactly the value forms'
+  // lists, with no stale entry left behind.
+  std::vector<std::uint32_t> out;
+  for (Pattern p : kAllPatterns) {
+    for (std::uint32_t w = 1; w <= kMaxWidth; ++w) {
+      for (std::uint32_t s = 0; s < kSteps; ++s) {
+        for (std::uint32_t t = 0; t <= w; ++t) {
+          out.assign(kMaxWidth + 1, 0xDEADBEEF);
+          dependencies(p, w, s, t, out);
+          ASSERT_EQ(out, dependencies(p, w, s, t))
+              << pattern_name(p) << " width " << w << " step " << s
+              << " task " << t;
+          out.assign(kMaxWidth + 1, 0xDEADBEEF);
+          dependents(p, w, s, t, out);
+          ASSERT_EQ(out, dependents(p, w, s, t))
+              << pattern_name(p) << " width " << w << " step " << s
+              << " task " << t;
         }
       }
     }
