@@ -7,7 +7,7 @@
 #include <stdexcept>
 
 #include "common/cacheline.hpp"
-#include "trace/trace.hpp"
+#include "trace/session.hpp"
 #include "verify/schedule_point.hpp"
 
 namespace bgq::alloc {
@@ -187,7 +187,6 @@ void* PoolAllocator::allocate(ThreadId tid, std::size_t bytes) {
     if (void* user = mine.pools[cls].try_dequeue()) {
       auto* h = header_of(user);
       BGQ_SCHED_POINT("alloc.pool.hit");
-      BGQ_TRACE_EVENT(::bgq::trace::EventKind::kAllocPoolHit, cls);
       h->magic = kLiveMagic;
       h->owner = tid;  // ownership is stable, but keep the header honest
       mine.pool_hits.fetch_add(1, std::memory_order_relaxed);
@@ -221,7 +220,8 @@ void* PoolAllocator::allocate(ThreadId tid, std::size_t bytes) {
   h->kind = cls < kNumSizeClasses ? kKindPool : kKindHeapDirect;
   h->magic = kLiveMagic;
   mine.heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  BGQ_TRACE_EVENT(::bgq::trace::EventKind::kAllocHeapGrow, cls);
+  trace::emit_here(trace::EventKind::kAllocHeapGrow,
+                   static_cast<std::uint32_t>(cls));
   return user;
 }
 
@@ -249,11 +249,11 @@ void PoolAllocator::deallocate(ThreadId /*tid*/, void* p) {
       owner.spill_push(p);
       return;
     }
-    [[maybe_unused]] const std::uint16_t cls = h->size_class;
+    const std::uint16_t cls = h->size_class;
     raw_delete(h);
     // Counted on the owner: the freeing thread may have no slot here.
     owner.heap_frees.fetch_add(1, std::memory_order_relaxed);
-    BGQ_TRACE_EVENT(::bgq::trace::EventKind::kAllocHeapSpill, cls);
+    trace::emit_here(trace::EventKind::kAllocHeapSpill, cls);
   }
 }
 

@@ -1,57 +1,11 @@
-// Streaming statistics and simple fixed-bucket histograms used by the
-// benchmark harnesses and the discrete-event simulator's reporting layer.
+// Exact sample percentiles for the benchmark harnesses.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace bgq {
-
-/// Welford streaming mean/variance plus min/max.
-class RunningStats {
- public:
-  void add(double x) noexcept {
-    ++n_;
-    const double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return mean_; }
-  double variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const noexcept { return std::sqrt(variance()); }
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-
-  void merge(const RunningStats& o) noexcept {
-    if (o.n_ == 0) return;
-    if (n_ == 0) { *this = o; return; }
-    const double total = static_cast<double>(n_ + o.n_);
-    const double d = o.mean_ - mean_;
-    m2_ += o.m2_ + d * d * static_cast<double>(n_) *
-                        static_cast<double>(o.n_) / total;
-    mean_ += d * static_cast<double>(o.n_) / total;
-    n_ += o.n_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-  }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Collects raw samples; supports exact percentiles.  Intended for latency
 /// distributions with up to a few million samples.

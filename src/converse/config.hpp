@@ -60,7 +60,8 @@ struct MachineConfig {
   /// Record per-PE event traces — handler begin/end, message
   /// enqueue/dequeue, idle-poll transitions — into the machine's trace
   /// session (Fig. 9/10 time profiles; export via write_chrome_trace or
-  /// trace::summarize).  Counters are always on; this gates the rings.
+  /// the bgq-trace-v1 flat trace for bgq-prof).  Counters are always on;
+  /// this gates the rings, and with them every causal-id stamp.
   bool trace_events = false;
 
   /// Per-thread trace ring capacity in events (rounded up to a power of

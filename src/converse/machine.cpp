@@ -100,14 +100,11 @@ void Pe::send_message(PeRank dst, Message* m) {
   }
   if (ring_ != nullptr) {
     // Stamp the causal id (origin PE + per-PE sequence, kept below 2^53 so
-    // it survives the JSON exports' doubles) and open the lifecycle.  In
-    // trace-off *builds* the header carries no causal fields: the setters
-    // vanish and the event goes out with cid 0 (a plain instant).
-    m->header().set_cid(
-        (static_cast<std::uint64_t>(rank_ + 1) << 32) | ++trace_seq_);
-    const std::uint64_t t = now_ns();
-    m->header().set_stamp(t);
-    ring_->emit({t, dst, trace::EventKind::kMsgSend, m->header().cid()});
+    // it survives the JSON exports' doubles) and open the lifecycle.
+    MsgHeader& h = m->header();
+    h.trace_id = (static_cast<std::uint64_t>(rank_ + 1) << 32) | ++trace_seq_;
+    h.stamp_ns = now_ns();
+    ring_->emit({h.stamp_ns, dst, trace::EventKind::kMsgSend, h.trace_id});
   }
   if (mach.process_of(dst) == mach.process_of(rank_)) {
     // Same SMP process: pointer exchange straight into the peer's queue.
@@ -146,10 +143,10 @@ void Pe::enqueue(Message* m) {
   // Producer-side trace tick, on the *sender's* track (null-bound
   // threads skip at the cost of one thread-local load).
   MsgHeader& h = m->header();
-  if (h.cid() != 0) {
+  if (h.trace_id != 0) {
     const std::uint64_t t =
-        trace::emit_here(trace::EventKind::kMsgEnqueue, rank_, h.cid());
-    h.set_stamp(t != 0 ? t : now_ns());  // queue-wait baseline for dequeue
+        trace::emit_here(trace::EventKind::kMsgEnqueue, rank_, h.trace_id);
+    h.stamp_ns = t != 0 ? t : now_ns();  // queue-wait baseline for dequeue
   } else {
     trace::emit_here(trace::EventKind::kMsgEnqueue, rank_);
   }
@@ -176,7 +173,7 @@ void Pe::execute(Message* m) {
   const HandlerId h = m->header().handler;
   // The handler owns (and may free or forward) the message: capture the
   // causal id before invoking it.
-  const std::uint64_t cid = m->header().cid();
+  const std::uint64_t cid = m->header().trace_id;
   const std::uint64_t t0 = now_ns();
   if (ring_) ring_->emit({t0, h, trace::EventKind::kHandlerBegin, cid});
   machine().handler(h)(*this, m);
@@ -201,10 +198,10 @@ bool Pe::pump_one() {
     if (ring_) {
       const MsgHeader& h = m->header();
       const std::uint64_t t = now_ns();
-      ring_->emit({t, h.handler, trace::EventKind::kMsgDequeue, h.cid()});
-      if (h.cid() != 0) {
+      ring_->emit({t, h.handler, trace::EventKind::kMsgDequeue, h.trace_id});
+      if (h.trace_id != 0) {
         counters_->record(machine().hist_ids().queue_ns,
-                          hop_ns(t, h.stamp()));
+                          hop_ns(t, h.stamp_ns));
       }
     }
     execute(m);
@@ -382,14 +379,14 @@ void Process::send_on_context(pami::Context& ctx, Message* m) {
   const std::size_t bytes = m->payload_bytes();
 
   MsgHeader& hdr = m->header();
-  if (hdr.cid() != 0) {
+  if (hdr.trace_id != 0) {
     // Injection hop closes here (send -> this context picking the message
     // up); re-stamp *before* the header is copied into packet metadata so
     // the network hop's baseline crosses the wire with the message.
     const std::uint64_t t = now_ns();
     trace::Registry::record_here(machine_.hist_ids().inject_ns,
-                                 hop_ns(t, hdr.stamp()));
-    hdr.set_stamp(t);
+                                 hop_ns(t, hdr.stamp_ns));
+    hdr.stamp_ns = t;
   }
 
   pami::SendParams p;
@@ -397,7 +394,7 @@ void Process::send_on_context(pami::Context& ctx, Message* m) {
   p.dest_context = dest_ctx;
   p.metadata = &m->header();
   p.metadata_bytes = sizeof(MsgHeader);
-  p.cid = hdr.cid();
+  p.cid = hdr.trace_id;
 
   // Rendezvous ships a raw source-buffer pointer and pulls it with rget —
   // meaningless across address spaces, so remote-process destinations go
@@ -430,12 +427,12 @@ void Process::send_on_context(pami::Context& ctx, Message* m) {
 void Process::on_eager(const pami::DispatchArgs& a) {
   MsgHeader hdr;
   std::memcpy(&hdr, a.metadata, sizeof(hdr));
-  if (hdr.cid() != 0) {
+  if (hdr.trace_id != 0) {
     // Network hop closes at dispatch on the receive side.
     const std::uint64_t t = now_ns();
     trace::Registry::record_here(machine_.hist_ids().network_ns,
-                                 hop_ns(t, hdr.stamp()));
-    hdr.set_stamp(t);
+                                 hop_ns(t, hdr.stamp_ns));
+    hdr.stamp_ns = t;
   }
   void* raw = allocator_->allocate(current_tid(),
                                    sizeof(MsgHeader) + a.payload_bytes);
@@ -462,13 +459,13 @@ void Process::deliver(Message* m) {
 void Process::on_rendezvous_req(const pami::DispatchArgs& a) {
   MsgHeader hdr;
   std::memcpy(&hdr, a.metadata, sizeof(hdr));
-  if (hdr.cid() != 0) {
+  if (hdr.trace_id != 0) {
     // Rendezvous: the network hop closes when the request lands; the rget
     // payload pull shows up between here and the enqueue that follows it.
     const std::uint64_t t = now_ns();
     trace::Registry::record_here(machine_.hist_ids().network_ns,
-                                 hop_ns(t, hdr.stamp()));
-    hdr.set_stamp(t);
+                                 hop_ns(t, hdr.stamp_ns));
+    hdr.stamp_ns = t;
   }
   RzvToken token;
   std::memcpy(&token, a.payload, sizeof(token));

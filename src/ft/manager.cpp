@@ -270,12 +270,10 @@ void Manager::dump_diagnostics(const char* why) {
           static_cast<unsigned long long>(ctx.retransmits()));
     }
   }
-  std::fprintf(stderr,
-               "fabric: blackholed=%llu drops=%llu transfers=%llu\n",
+  std::fprintf(stderr, "fabric: blackholed=%llu drops=%llu\n",
                static_cast<unsigned long long>(mach_.fabric().blackholed()),
                static_cast<unsigned long long>(
-                   mach_.fabric().faults_dropped()),
-               static_cast<unsigned long long>(mach_.fabric().transfers()));
+                   mach_.fabric().faults_dropped()));
   if (mach_.trace_session().enabled()) {
     const trace::FlatTrace& ft = mach_.trace_session().collect();
     for (const auto& track : ft.tracks) {

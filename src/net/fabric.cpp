@@ -114,10 +114,6 @@ void Fabric::inject(Packet* p) {
                   params_.wire_time_ns(0, hops);
   }
 
-  transfers_.fetch_add(1, std::memory_order_relaxed);
-  net_packets_.fetch_add(p->num_packets, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-
   if (faults_ != nullptr) {
     inject_faulty(p);
   } else {

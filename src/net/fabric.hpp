@@ -202,17 +202,6 @@ class Fabric : public transport::DeliverySink {
     return transport_->blackholed();
   }
 
-  // ---- statistics -------------------------------------------------------
-  std::uint64_t transfers() const noexcept {
-    return transfers_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t network_packets() const noexcept {
-    return net_packets_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes_moved() const noexcept {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-
   // Injected-fault counters (all zero without a plan).
   std::uint64_t faults_dropped() const noexcept {
     return drops_.load(std::memory_order_relaxed);
@@ -257,14 +246,11 @@ class Fabric : public transport::DeliverySink {
   std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport* transport_;  ///< never null after construction
 
-  // Every inject writes these, from every injecting thread.  Aligning the
-  // first one gives the block a line of its own, the object's tail
-  // padding included, so no read-mostly data shares it — neither this
-  // object's nor that of whatever the heap places next to it.
-  alignas(kL2Line) std::atomic<std::uint64_t> transfers_{0};
-  std::atomic<std::uint64_t> net_packets_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> drops_{0};
+  // Under a fault plan every inject may write these, from every injecting
+  // thread.  Aligning the first one gives the block a line of its own, the
+  // object's tail padding included, so no read-mostly data shares it —
+  // neither this object's nor that of whatever the heap places next to it.
+  alignas(kL2Line) std::atomic<std::uint64_t> drops_{0};
   std::atomic<std::uint64_t> dups_{0};
   std::atomic<std::uint64_t> delays_{0};
   std::atomic<std::uint64_t> bitflips_{0};

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "common/timing.hpp"
-#include "trace/trace.hpp"
+#include "trace/session.hpp"
 #include "verify/schedule_point.hpp"
 
 namespace bgq::pami {
@@ -79,7 +79,6 @@ void CommThreadPool::run(unsigned tid) {
     for (Context* c : mine) events += c->advance();
     sweeps_.fetch_add(1, std::memory_order_relaxed);
     if (events != 0) {
-      BGQ_TRACE_EVENT(::bgq::trace::EventKind::kCommAdvance, events);
       idle_since = 0;
       continue;
     }
@@ -108,11 +107,11 @@ void CommThreadPool::run(unsigned tid) {
           }
           // Nothing pending: the commit follows, so the park counts now.
           parks_.fetch_add(1, std::memory_order_relaxed);
-          BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkBegin, tid);
+          trace::emit_here(trace::EventKind::kParkBegin, tid);
           return false;
         },
         timers ? kTimerParkNs : wakeup::WaitGate::kNoDeadline);
-    if (parked) BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkEnd, tid);
+    if (parked) trace::emit_here(trace::EventKind::kParkEnd, tid);
     for (Context* c : mine) c->join_drainers();
   }
   for (Context* c : mine) c->leave_drainers();

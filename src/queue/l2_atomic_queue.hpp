@@ -26,7 +26,7 @@
 
 #include "common/cacheline.hpp"
 #include "l2atomic/l2_atomic.hpp"
-#include "trace/trace.hpp"
+#include "trace/session.hpp"
 #include "verify/schedule_point.hpp"
 
 namespace bgq::queue {
@@ -64,7 +64,8 @@ class L2AtomicQueue {
       return true;
     }
     BGQ_SCHED_POINT("queue.enqueue.spill");
-    BGQ_TRACE_EVENT(::bgq::trace::EventKind::kQueueSpill, size_);
+    trace::emit_here(trace::EventKind::kQueueSpill,
+                     static_cast<std::uint32_t>(size_));
     {
       BGQ_SCHED_BLOCK_BEGIN();
       std::unique_lock<std::mutex> g(overflow_mutex_);

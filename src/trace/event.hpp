@@ -2,9 +2,10 @@
 //
 // Every instrumented layer — the Converse machine, the lockless queues,
 // the pool allocator, the comm threads, the wakeup gates, and the DES
-// engine — emits the same 16-byte timestamped record into a per-thread
-// ring (ring.hpp).  Exporters (chrome_export.hpp, summary.hpp) consume
-// the flushed streams; nothing here allocates or locks.
+// engine — emits the same 24-byte timestamped record into a per-thread
+// ring (ring.hpp).  The exporters (chrome_export.hpp, trace_io.hpp) and
+// the analyzer (analysis.hpp) consume the flushed streams; nothing here
+// allocates or locks.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,9 @@ namespace bgq::trace {
 ///   * span begins/ends (paired, nestable per thread) — handler execution,
 ///     idle-poll intervals, comm-thread parks, MD phases, DES tasks;
 ///   * instants — message enqueue/dequeue, queue overflow spills, alloc
-///     grow/spill, comm-thread advances, gate wakeups, DES event dispatch.
+///     grow/spill, gate wakeups, DES event dispatch.
+/// bgq-trace-v1 files store kinds as numbers, so a kind that is no longer
+/// emitted keeps its slot.
 enum class EventKind : std::uint8_t {
   // Converse machine layer (runtime-gated by MachineConfig::trace_events).
   kMsgEnqueue = 0,   ///< instant; arg = destination PE rank
@@ -37,12 +40,12 @@ enum class EventKind : std::uint8_t {
   kHandlerEnd,       ///< span; arg = handler id
   kIdleBegin,        ///< span; idle-poll interval opened
   kIdleEnd,          ///< span; work found again
-  // Lockless core (compiled in only with -DBGQ_TRACE).
+  // Lockless core, slow paths only (runtime-gated through emit_here).
   kQueueSpill,       ///< instant; lockless ring full, overflow spill
-  kAllocPoolHit,     ///< instant; arg = size class
+  kAllocPoolHit,     ///< retired (per-message); no longer emitted
   kAllocHeapGrow,    ///< instant; pool empty, buffer from heap; arg = class
   kAllocHeapSpill,   ///< instant; pool full past threshold; arg = class
-  kCommAdvance,      ///< instant; arg = events serviced in the sweep
+  kCommAdvance,      ///< retired (per-message); no longer emitted
   kParkBegin,        ///< span; comm thread parks on the wakeup gate
   kParkEnd,          ///< span; comm thread resumed
   kGateWake,         ///< instant; a producer woke a gate
@@ -62,7 +65,7 @@ enum class EventKind : std::uint8_t {
   kUser,             ///< instant; meaning of arg is the emitter's business
 };
 
-/// Number of distinct kinds (summary histogram sizing).
+/// Number of distinct kinds (trace_io rejects a kind at or past it).
 inline constexpr unsigned kEventKindCount =
     static_cast<unsigned>(EventKind::kUser) + 1;
 

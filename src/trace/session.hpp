@@ -34,6 +34,32 @@ struct Track {
   std::vector<Event> events;
 };
 
+/// A closed span reconstructed from a begin/end pair.
+struct Span {
+  std::uint64_t t0, t1;
+  std::uint32_t arg;
+  EventKind begin_kind;
+  std::uint64_t duration_ns() const noexcept { return t1 - t0; }
+};
+
+/// Reconstruct the spans of one track opened by `begin` (matched with
+/// `end_of(begin)`), in completion order.  Nested pairs of the same kind
+/// match innermost-first; unmatched begins/ends are ignored.
+inline std::vector<Span> extract_spans(const Track& track, EventKind begin) {
+  std::vector<Span> out;
+  std::vector<Event> open;
+  const EventKind end = end_of(begin);
+  for (const Event& e : track.events) {
+    if (e.kind == begin) {
+      open.push_back(e);
+    } else if (e.kind == end && !open.empty()) {
+      out.push_back({open.back().t_ns, e.t_ns, open.back().arg, begin});
+      open.pop_back();
+    }
+  }
+  return out;
+}
+
 /// All tracks of a session, in ring-creation order.
 struct FlatTrace {
   std::vector<Track> tracks;
@@ -115,9 +141,8 @@ class Session {
   const FlatTrace& flat() const noexcept { return flat_; }
 
   // ---- thread binding -----------------------------------------------------
-  // The macros in trace.hpp and the compiled-in runtime emit sites route
-  // through the calling thread's bound ring; an unbound (or disabled)
-  // thread costs one thread-local load and a branch.
+  // emit_here() routes through the calling thread's bound ring; an
+  // unbound (or disabled) thread costs one thread-local load and a branch.
 
   static EventRing* thread_ring() noexcept { return tls_ring_; }
   static void bind_thread(EventRing* r) noexcept { tls_ring_ = r; }
@@ -152,9 +177,7 @@ class Session {
 inline thread_local EventRing* Session::tls_ring_ = nullptr;
 
 /// Emit into the calling thread's bound ring, stamping host time — taken
-/// lazily so an unbound thread pays no clock read.  The always-compiled
-/// runtime emit sites use this directly; the BGQ_TRACE macros expand to
-/// it only when tracing is compiled in.
+/// lazily so an unbound thread pays no clock read.
 inline void emit_here(EventKind kind, std::uint32_t arg) noexcept {
   if (EventRing* r = Session::thread_ring()) r->emit({now_ns(), arg, kind});
 }

@@ -1,18 +1,13 @@
-// Umbrella header + the compile-time instrumentation gate.
+// Umbrella header for the tracing subsystem.
 //
-// Two gating levels, deliberately different:
-//
-//   * Machine-layer events (message enqueue/dequeue, handler begin/end,
-//     idle transitions, MD phases) are always compiled and runtime-gated:
-//     the emit site checks a ring pointer that is null unless the run was
-//     configured with tracing on (MachineConfig::trace_events).  This is
-//     the same cost shape as the old `if (trace_enabled_)` branch.
-//
-//   * Lockless-core micro events (queue spills, allocator grow/spill,
-//     comm-thread advance/park, gate wakeups) sit on paths measured in
-//     nanoseconds, so their BGQ_TRACE_* macros compile to nothing unless
-//     the build defines BGQ_TRACE (CMake: -DBGQ_TRACE=ON).  With the
-//     option off, bench_queue/bench_pingpong see bit-identical hot paths.
+// Every emit site is compiled into every build and gated at run time:
+// it checks a ring pointer (the PE's own, or the calling thread's bound
+// ring via emit_here) that is null unless the run was configured with
+// tracing on (MachineConfig::trace_events).  An untraced run pays one
+// load and a branch per site.  Sites on per-message paths emit only the
+// message-lifecycle events the analyzer reads; the lockless core emits
+// only on its slow paths (queue spills, allocator grow/spill, futex
+// wakes, comm-thread parks).
 //
 // Emitting never blocks and never allocates: a full ring counts a drop
 // and moves on (ring.hpp).
@@ -26,24 +21,4 @@
 #include "trace/registry.hpp"
 #include "trace/ring.hpp"
 #include "trace/session.hpp"
-#include "trace/summary.hpp"
 #include "trace/trace_io.hpp"
-
-namespace bgq::trace {
-
-#if defined(BGQ_TRACE)
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
-
-}  // namespace bgq::trace
-
-#if defined(BGQ_TRACE)
-/// Instant event on the calling thread's bound ring, stamped with host
-/// time.  No-op (and zero code) for unbound threads or disabled builds.
-#define BGQ_TRACE_EVENT(kind, arg) \
-  ::bgq::trace::emit_here((kind), static_cast<std::uint32_t>(arg))
-#else
-#define BGQ_TRACE_EVENT(kind, arg) ((void)0)
-#endif

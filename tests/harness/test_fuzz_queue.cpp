@@ -12,7 +12,6 @@
 #include "harness_util.hpp"
 #include "queue/l2_atomic_queue.hpp"
 #include "queue/ordered_l2_queue.hpp"
-#include "queue/spsc_ring.hpp"
 #include "test_seed.hpp"
 #include "verify/scheduler.hpp"
 
@@ -20,16 +19,12 @@ namespace {
 
 using bgq::harness::fuzz_queue_once;
 using bgq::harness::QueueFuzzConfig;
-using bgq::harness::RunOptions;
-using bgq::harness::run_schedule;
 using bgq::queue::L2AtomicQueue;
 using bgq::queue::OrderedL2Queue;
-using bgq::queue::SpscRing;
 using bgq::test_support::announce_seed;
 using bgq::test_support::harness_scale;
 using bgq::verify::exhaust_schedules;
 using bgq::verify::FifoQueueSpec;
-using bgq::verify::History;
 using bgq::verify::Op;
 using bgq::verify::OpKind;
 
@@ -88,49 +83,6 @@ TEST(FuzzQueue, OrderedL2QueueIsFifoUnderFuzzedSchedules) {
   }
 }
 
-TEST(FuzzQueue, SpscRingIsFifoUnderFuzzedSchedules) {
-  const std::uint64_t base = announce_seed("FuzzQueue.SpscRing", 0x5B5C);
-  const std::uint64_t n =
-      std::max<std::uint64_t>(2000 / harness_scale(), 10);
-  constexpr int kMsgs = 6;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    SpscRing<std::uint64_t> ring(2);  // capacity 2: constant full/empty edges
-    History h(128);
-    std::vector<std::function<void()>> bodies;
-    bodies.emplace_back([&] {
-      for (std::uint64_t v = 1; v <= kMsgs;) {
-        const auto hd = h.begin(0, OpKind::kEnqueue, v);
-        if (ring.try_enqueue(v)) {
-          h.end(hd);
-          ++v;
-        }
-        // Failed push: the open handle is reused by the next attempt via
-        // abandonment (never ended -> dropped from the history).
-      }
-    });
-    bodies.emplace_back([&] {
-      int got = 0;
-      History::Handle hd = History::kNoHandle;
-      for (int attempts = 0; got < kMsgs && attempts < 600; ++attempts) {
-        if (hd == History::kNoHandle) hd = h.begin(1, OpKind::kDequeue);
-        if (auto v = ring.try_dequeue()) {
-          h.end(hd, *v);
-          hd = History::kNoHandle;
-          ++got;
-        }
-      }
-    });
-    RunOptions ro;
-    ro.seed = base + i;
-    const auto run = run_schedule(ro, bodies);
-    ASSERT_FALSE(run.deadlocked) << bgq::harness::describe_run(ro.seed, run);
-    h.record(2, OpKind::kDequeueEmpty);
-    const auto lin = bgq::verify::check_linearizable<FifoQueueSpec>(h.ops());
-    ASSERT_TRUE(lin.ok()) << bgq::harness::describe_run(ro.seed, run) << "\n"
-                          << lin.message;
-  }
-}
-
 TEST(FuzzQueue, ExhaustiveSmallBoundL2Queue) {
   // Systematically enumerate every interleaving (up to the decision bound)
   // of 2 producers x 2 messages against the consumer on a ring of 2 — the
@@ -162,58 +114,6 @@ TEST(FuzzQueue, ExhaustiveSmallBoundL2Queue) {
   // schedule points are dead.
   EXPECT_GT(runs, 100u);
   std::fprintf(stderr, "[ EXHAUST  ] L2AtomicQueue: %llu schedules\n",
-               static_cast<unsigned long long>(runs));
-}
-
-TEST(FuzzQueue, ExhaustiveSmallBoundSpscRing) {
-  std::uint64_t violations = 0;
-  std::string first_bad;
-  const std::uint64_t runs = exhaust_schedules(
-      12, 30000, [&](const std::vector<std::uint8_t>& prefix) {
-        SpscRing<std::uint64_t> ring(2);
-        History h(64);
-        std::vector<std::function<void()>> bodies;
-        bodies.emplace_back([&] {
-          for (std::uint64_t v = 1; v <= 3;) {
-            const auto hd = h.begin(0, OpKind::kEnqueue, v);
-            if (ring.try_enqueue(v)) {
-              h.end(hd);
-              ++v;
-            }
-          }
-        });
-        bodies.emplace_back([&] {
-          int got = 0;
-          History::Handle hd = History::kNoHandle;
-          for (int attempts = 0; got < 3 && attempts < 200; ++attempts) {
-            if (hd == History::kNoHandle) hd = h.begin(1, OpKind::kDequeue);
-            if (auto v = ring.try_dequeue()) {
-              h.end(hd, *v);
-              hd = History::kNoHandle;
-              ++got;
-            }
-          }
-        });
-        RunOptions ro;
-        ro.seed = 11;
-        ro.replay = &prefix;
-        ro.deterministic_fallback = true;
-        const auto run = run_schedule(ro, bodies);
-        h.record(2, OpKind::kDequeueEmpty);
-        const auto lin =
-            bgq::verify::check_linearizable<FifoQueueSpec>(h.ops());
-        if (!lin.ok() || run.deadlocked) {
-          ++violations;
-          if (first_bad.empty()) {
-            first_bad =
-                bgq::harness::describe_run(ro.seed, run) + "\n" + lin.message;
-          }
-        }
-        return run.trace;
-      });
-  EXPECT_EQ(violations, 0u) << first_bad;
-  EXPECT_GT(runs, 50u);
-  std::fprintf(stderr, "[ EXHAUST  ] SpscRing: %llu schedules\n",
                static_cast<unsigned long long>(runs));
 }
 

@@ -11,7 +11,9 @@
 //     the body peek succeeds with the right bytes, because try_push
 //     publishes the whole frame with one release-store;
 //   * a full ring fails the push without corrupting anything, and the
-//     producer's retry eventually lands once the consumer frees space.
+//     producer's retry eventually lands once the consumer frees space;
+//   * pushed and popped 8-byte frames form a linearizable FIFO history
+//     (verify/linearize.hpp, FifoQueueSpec).
 //
 // FuzzShmDoorbell drives the transport's doorbell handshake
 // (transport/doorbell.hpp) with its own live schedule points: a
@@ -31,6 +33,7 @@
 #include "test_seed.hpp"
 #include "transport/doorbell.hpp"
 #include "transport/shm_ring.hpp"
+#include "verify/linearize.hpp"
 #include "verify/scheduler.hpp"
 
 namespace {
@@ -46,6 +49,9 @@ using bgq::test_support::harness_scale;
 using bgq::transport::ShmRingCtrl;
 using bgq::transport::ShmRingView;
 using bgq::verify::exhaust_schedules;
+using bgq::verify::FifoQueueSpec;
+using bgq::verify::History;
+using bgq::verify::OpKind;
 
 /// Deterministic body byte for frame `f`, offset `j`.
 std::uint8_t body_byte(std::size_t f, std::size_t j) {
@@ -207,6 +213,65 @@ TEST(FuzzShmRing, FullRingRejectsWithoutCorruption) {
   ASSERT_TRUE(ring.try_push(five, 5));
   ASSERT_TRUE(ring.peek(0, out, 5));
   EXPECT_EQ(static_cast<int>(out[4]), 5);
+}
+
+TEST(FuzzShmRing, LinearizableUnderFuzzedSchedules) {
+  // The ring as a FIFO queue of 8-byte frames, checked against the
+  // sequential spec by the linearizability checker: every push that
+  // returned true must be popped exactly once, in push order, and a pop
+  // may only see a frame whose push had begun.
+  const std::uint64_t base = announce_seed("FuzzShmRing.Linearizable", 0x5B5C);
+  const std::uint64_t n =
+      std::max<std::uint64_t>(2000 / harness_scale(), 10);
+  // Two frames fit, so full and empty edges come constantly, and the
+  // third frame onwards wraps mid-frame now and then (20 is not a
+  // multiple of 8).
+  constexpr std::size_t kCap = 20;
+  constexpr std::uint64_t kMsgs = 6;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ShmRingCtrl ctrl;
+    std::vector<std::byte> data(kCap);
+    ShmRingView ring(&ctrl, data.data(), kCap);
+    History h(1024);
+    std::vector<std::function<void()>> bodies;
+    bodies.emplace_back([&] {
+      for (std::uint64_t v = 1; v <= kMsgs;) {
+        const auto hd = h.begin(0, OpKind::kEnqueue, v);
+        std::byte frame[8];
+        std::memcpy(frame, &v, sizeof frame);
+        if (ring.try_push(frame, sizeof frame)) {
+          h.end(hd);
+          ++v;
+        }
+        // A failed push is never ended, so the history drops it.
+      }
+    });
+    bodies.emplace_back([&] {
+      std::uint64_t got = 0;
+      History::Handle hd = History::kNoHandle;
+      for (int attempts = 0; got < kMsgs && attempts < 600; ++attempts) {
+        if (hd == History::kNoHandle) hd = h.begin(1, OpKind::kDequeue);
+        std::byte frame[8];
+        if (ring.peek(0, frame, sizeof frame)) {
+          ring.consume(sizeof frame);
+          std::uint64_t v;
+          std::memcpy(&v, frame, sizeof v);
+          h.end(hd, v);
+          hd = History::kNoHandle;
+          ++got;
+        }
+      }
+    });
+    RunOptions ro;
+    ro.seed = base + i;
+    const auto run = run_schedule(ro, bodies);
+    ASSERT_FALSE(run.deadlocked) << describe_run(ro.seed, run);
+    ASSERT_FALSE(h.overflowed()) << describe_run(ro.seed, run);
+    h.record(2, OpKind::kDequeueEmpty);
+    const auto lin = bgq::verify::check_linearizable<FifoQueueSpec>(h.ops());
+    ASSERT_TRUE(lin.ok()) << describe_run(ro.seed, run) << "\n"
+                          << lin.message;
+  }
 }
 
 TEST(FuzzShmDoorbell, EveryFrameDeliveredWithoutTheSafetyNet) {

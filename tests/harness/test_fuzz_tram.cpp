@@ -120,9 +120,8 @@ FuzzOutcome fuzz_once(std::uint64_t seed, const std::string& plan_spec) {
       p.dispatch = kDispatch;
       p.payload = w.data();
       p.payload_bytes = w.bytes();
-      // A record carries the MsgHeader compiled in, 16 B larger with
-      // BGQ_TRACE, so pick the send flavour from the batch's size as the
-      // machine layer does.
+      // Pick the send flavour from the batch's size as the machine layer
+      // does: three 48 B records exceed the immediate limit.
       if (p.payload_bytes <= Context::kImmediateMax) {
         ctx.send_immediate(p);
       } else {

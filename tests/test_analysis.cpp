@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "converse/machine.hpp"
@@ -285,35 +287,76 @@ TEST(CausalTrace, ExactlyOnceSpansUnderDropDupRetransmit) {
   const FlatTrace& flat = machine.trace_session().collect();
   ASSERT_EQ(flat.total_dropped(), 0u) << "rings sized too small for test";
 
-  // Causal-lifecycle assertions need the cid header fields, which only
-  // BGQ_TRACE builds carry (the lean 16-byte header has nowhere to stamp
-  // them).  The delivery/retransmit/ring checks above ran either way.
-  if constexpr (bgq::cvs::MsgHeader::kTraced) {
-    // Exactly-once: despite wire-level dups and retransmits, no cid may be
-    // received past dedup or dispatched to its handler more than once.
-    std::unordered_map<std::uint64_t, int> recvs, handled;
-    for (const Track& tr : flat.tracks) {
-      for (const Event& e : tr.events) {
-        if (e.cid == 0) continue;
-        if (e.kind == EventKind::kMsgRecv) ++recvs[e.cid];
-        if (e.kind == EventKind::kHandlerBegin) ++handled[e.cid];
-      }
+  // Exactly-once: despite wire-level dups and retransmits, no cid may be
+  // received past dedup or dispatched to its handler more than once.
+  std::unordered_map<std::uint64_t, int> recvs, handled;
+  for (const Track& tr : flat.tracks) {
+    for (const Event& e : tr.events) {
+      if (e.cid == 0) continue;
+      if (e.kind == EventKind::kMsgRecv) ++recvs[e.cid];
+      if (e.kind == EventKind::kHandlerBegin) ++handled[e.cid];
     }
-    for (const auto& [cid, n] : recvs) {
-      EXPECT_EQ(n, 1) << "cid " << cid << " passed dedup " << n << " times";
-    }
-    for (const auto& [cid, n] : handled) {
-      EXPECT_EQ(n, 1) << "cid " << cid << " dispatched " << n << " times";
-    }
-
-    // The analyzer folds retransmit detours into counters, never into the
-    // segment math: the hop sum still telescopes exactly.
-    const bgq::trace::Analysis an = bgq::trace::analyze(flat);
-    EXPECT_GE(an.decomp.messages, senders * kPer);
-    EXPECT_GT(an.decomp.retransmitted, 0u)
-        << "retransmitted lifecycles must be visible to the analyzer";
-    EXPECT_EQ(an.decomp.hop_sum_ns(), an.decomp.end_to_end_sum_ns);
   }
+  for (const auto& [cid, n] : recvs) {
+    EXPECT_EQ(n, 1) << "cid " << cid << " passed dedup " << n << " times";
+  }
+  for (const auto& [cid, n] : handled) {
+    EXPECT_EQ(n, 1) << "cid " << cid << " dispatched " << n << " times";
+  }
+
+  // The analyzer folds retransmit detours into counters, never into the
+  // segment math: the hop sum still telescopes exactly.
+  const bgq::trace::Analysis an = bgq::trace::analyze(flat);
+  EXPECT_GE(an.decomp.messages, senders * kPer);
+  EXPECT_GT(an.decomp.retransmitted, 0u)
+      << "retransmitted lifecycles must be visible to the analyzer";
+  EXPECT_EQ(an.decomp.hop_sum_ns(), an.decomp.end_to_end_sum_ns);
+}
+
+TEST(CausalTrace, CleanPingPongDecomposesInEveryBuild) {
+  // The default build carries the causal fields: a traced inter-node SMP
+  // ping-pong decomposes every message it sent, end to end.
+  MachineConfig cfg;
+  cfg.nodes = 2;
+  cfg.mode = Mode::kSmp;
+  cfg.workers_per_process = 2;
+  cfg.processes_per_node = 1;
+  cfg.trace_events = true;
+  Machine machine(cfg);
+  const auto peer = static_cast<bgq::cvs::PeRank>(machine.pe_count() - 1);
+  ASSERT_NE(machine.process_of(peer), machine.process_of(0));
+  constexpr int kRounds = 200;
+  constexpr std::size_t kBytes = 512;
+
+  std::atomic<std::uint64_t> sent{0};
+  int rounds = 0;  // PE 0's thread only
+  const bgq::cvs::HandlerId h =
+      machine.register_handler([&](bgq::cvs::Pe& pe, bgq::cvs::Message* m) {
+        if (pe.rank() == 0 && ++rounds == kRounds) {
+          pe.free_message(m);
+          pe.exit_all();
+          return;
+        }
+        sent.fetch_add(1);
+        pe.send_message(pe.rank() == 0 ? peer : 0, m);
+      });
+  machine.run([&](bgq::cvs::Pe& pe) {
+    if (pe.rank() != 0) return;
+    bgq::cvs::Message* m = pe.alloc_message(kBytes, h);
+    sent.fetch_add(1);
+    pe.send_message(peer, m);
+  });
+  ASSERT_EQ(rounds, kRounds);
+  ASSERT_EQ(sent.load(), 2u * kRounds);
+
+  const FlatTrace& flat = machine.trace_session().collect();
+  EXPECT_EQ(flat.total_dropped(), 0u);
+  const bgq::trace::Analysis an = bgq::trace::analyze(flat);
+  EXPECT_EQ(an.decomp.messages, sent.load());
+  EXPECT_EQ(an.decomp.incomplete, 0u);
+  EXPECT_GT(an.decomp.end_to_end_sum_ns, 0);
+  EXPECT_EQ(an.decomp.hop_sum_ns(), an.decomp.end_to_end_sum_ns);
+  EXPECT_FALSE(an.critical.steps.empty());
 }
 
 TEST(CausalTrace, TracingOffEmitsNoCidsAndZeroGauges) {
@@ -327,7 +370,7 @@ TEST(CausalTrace, TracingOffEmitsNoCidsAndZeroGauges) {
   std::atomic<int> got{0};
   const bgq::cvs::HandlerId h =
       machine.register_handler([&](bgq::cvs::Pe& pe, bgq::cvs::Message* m) {
-        EXPECT_EQ(m->header().cid(), 0u) << "trace off: no cid stamping";
+        EXPECT_EQ(m->header().trace_id, 0u) << "trace off: no cid stamping";
         pe.free_message(m);
         if (got.fetch_add(1) + 1 == 20) pe.exit_all();
       });
@@ -344,6 +387,40 @@ TEST(CausalTrace, TracingOffEmitsNoCidsAndZeroGauges) {
   EXPECT_EQ(report.value("trace.ring.drops"), 0u);
   EXPECT_EQ(report.value("trace.ring.hwm"), 0u);
   EXPECT_EQ(machine.trace_session().collect().total_events(), 0u);
+}
+
+TEST(TraceProfile, CommThreadParksAreIdleInEveryBuild) {
+  // The comm threads' park spans are emitted whenever the run traces, and
+  // the time profile counts them as idle.
+  MachineConfig cfg;
+  cfg.nodes = 2;
+  cfg.mode = Mode::kSmpCommThreads;
+  cfg.workers_per_process = 1;
+  cfg.processes_per_node = 1;
+  cfg.comm_threads = 1;
+  cfg.trace_events = true;
+  Machine machine(cfg);
+  machine.run([](bgq::cvs::Pe& pe) {
+    if (pe.rank() != 0) return;
+    // Idle far past the comm threads' spin-before-park budget (50 us).
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pe.exit_all();
+  });
+
+  const FlatTrace& flat = machine.trace_session().collect();
+  std::size_t parks = 0;
+  for (const Track& tr : flat.tracks) {
+    if (tr.name.rfind("comm", 0) != 0) continue;
+    parks += bgq::trace::extract_spans(tr, EventKind::kParkBegin).size();
+  }
+  EXPECT_GT(parks, 0u);
+  const bgq::trace::Analysis an = bgq::trace::analyze(flat);
+  double idle = 0;
+  for (const auto& tp : an.profile.tracks) {
+    if (tp.name.rfind("comm", 0) != 0) continue;
+    for (const double f : tp.idle) idle += f;
+  }
+  EXPECT_GT(idle, 0.0);
 }
 
 }  // namespace

@@ -90,30 +90,6 @@ TEST(Rng, GaussianMomentsRoughlyStandard) {
   EXPECT_NEAR(sq / kN, 1.0, 0.03);
 }
 
-TEST(Stats, RunningStatsBasic) {
-  bgq::RunningStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
-
-TEST(Stats, MergeMatchesCombinedStream) {
-  bgq::RunningStats a, b, all;
-  bgq::Xoshiro256 r(3);
-  for (int i = 0; i < 500; ++i) {
-    const double x = r.uniform(0, 10);
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(Stats, SampleSetPercentiles) {
   bgq::SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(i);
@@ -129,9 +105,6 @@ TEST(Stats, EmptySetsAreSafe) {
   bgq::SampleSet s;
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.median(), 0.0);
-  bgq::RunningStats rs;
-  EXPECT_EQ(rs.mean(), 0.0);
-  EXPECT_EQ(rs.stddev(), 0.0);
 }
 
 TEST(Timing, TimerMeasuresForwardTime) {

@@ -59,26 +59,23 @@ TEST(NetworkParams, BgpIsSlowerThanBgq) {
 }
 
 TEST(Message, HeaderLayoutAndAccessors) {
-  // Dual compile-time layout: 16 bytes lean, 32 with the causal-trace
-  // fields (BGQ_TRACE builds).
+  // One layout in every build: delivery fields plus the causal-trace id
+  // and hop stamp.
   using bgq::cvs::MsgHeader;
-  static_assert(sizeof(MsgHeader) == (MsgHeader::kTraced ? 32 : 16));
+  static_assert(sizeof(MsgHeader) == 32);
   alignas(16) unsigned char raw[sizeof(MsgHeader) + 48] = {};
   auto* m = bgq::cvs::Message::from_raw(raw);
   m->header().payload_bytes = 48;
   m->header().handler = 7;
   m->header().src_pe = 3;
   m->header().dst_pe = 5;
-  m->header().set_cid((std::uint64_t{4} << 32) | 9);
+  m->header().trace_id = (std::uint64_t{4} << 32) | 9;
   EXPECT_EQ(m->payload_bytes(), 48u);
   EXPECT_EQ(m->total_bytes(), sizeof(MsgHeader) + 48u);
   EXPECT_EQ(reinterpret_cast<unsigned char*>(m->payload()),
             raw + sizeof(MsgHeader));
-  if constexpr (MsgHeader::kTraced) {
-    EXPECT_EQ(m->header().cid() >> 32, 4u);
-  } else {
-    EXPECT_EQ(m->header().cid(), 0u) << "lean layout: cid writes vanish";
-  }
+  EXPECT_EQ(m->header().trace_id >> 32, 4u);
+  EXPECT_EQ(m->header().trace_id & 0xffffffffu, 9u);
 }
 
 TEST(PoolAllocator, SteadyStateRecyclingIsAllPoolHits) {

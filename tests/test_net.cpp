@@ -83,8 +83,6 @@ TEST(Fabric, MemFifoDeliversToCorrectNodeAndFifo) {
   EXPECT_GT(got->wire_ns, 0u);
   EXPECT_EQ(got->num_packets, 1u);
   got->release();
-
-  EXPECT_EQ(f.transfers(), 1u);
 }
 
 TEST(Fabric, WireTimeReflectsHopDistance) {
@@ -177,10 +175,13 @@ TEST(Fabric, StatsAccumulate) {
   Torus t({2});
   Fabric f(t, NetworkParams{}, 1);
   for (int i = 0; i < 3; ++i) f.inject(make_packet(0, 1, 1024));
-  EXPECT_EQ(f.transfers(), 3u);
-  EXPECT_EQ(f.network_packets(), 6u);  // 1024 B = 2 packets each
-  EXPECT_EQ(f.bytes_moved(), 3u * 1024u);
-  // Fabric destructor frees the undelivered packets (ASan verifies).
+  for (int i = 0; i < 2; ++i) {
+    Packet* got = f.reception_fifo(1, 0).poll();
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->num_packets, 2u);  // 1024 B = 2 packets
+    got->release();
+  }
+  // Fabric destructor frees the undelivered packet (ASan verifies).
 }
 
 TEST(Fabric, ZeroFifosRejected) {
@@ -233,7 +234,6 @@ TEST(FaultyFabric, DropEverythingDeliversNothing) {
   for (int i = 0; i < 10; ++i) f.inject(make_mem_packet());
   EXPECT_EQ(f.reception_fifo(1, 0).poll(), nullptr);
   EXPECT_EQ(f.faults_dropped(), 10u);
-  EXPECT_EQ(f.transfers(), 10u) << "stats still count injected transfers";
 }
 
 TEST(FaultyFabric, DuplicateDeliversTwice) {

@@ -1,11 +1,9 @@
 // Tests for the lockless queue family (src/queue): the paper's L2 atomic
-// queue with overflow, the MPI-ordered variant, the mutex baseline and the
-// SPSC work ring.
+// queue with overflow, the MPI-ordered variant and the mutex baseline.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -14,14 +12,12 @@
 #include "queue/l2_atomic_queue.hpp"
 #include "queue/mutex_queue.hpp"
 #include "queue/ordered_l2_queue.hpp"
-#include "queue/spsc_ring.hpp"
 
 namespace {
 
 using bgq::queue::L2AtomicQueue;
 using bgq::queue::MutexQueue;
 using bgq::queue::OrderedL2Queue;
-using bgq::queue::SpscRing;
 
 std::uint64_t* tag(std::uint64_t v) {
   return reinterpret_cast<std::uint64_t*>(v + 1);  // +1: never nullptr
@@ -262,46 +258,6 @@ TEST(MutexQueue, BasicFifo) {
   for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(untag(q.try_dequeue()), i);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.try_dequeue(), nullptr);
-}
-
-TEST(SpscRing, FillDrain) {
-  SpscRing<int> r(4);
-  EXPECT_TRUE(r.try_enqueue(1));
-  EXPECT_TRUE(r.try_enqueue(2));
-  EXPECT_TRUE(r.try_enqueue(3));
-  EXPECT_TRUE(r.try_enqueue(4));
-  EXPECT_FALSE(r.try_enqueue(5)) << "ring of 4 must reject the 5th";
-  EXPECT_EQ(r.try_dequeue().value(), 1);
-  EXPECT_TRUE(r.try_enqueue(5));
-  for (int expect : {2, 3, 4, 5}) EXPECT_EQ(r.try_dequeue().value(), expect);
-  EXPECT_FALSE(r.try_dequeue().has_value());
-}
-
-TEST(SpscRing, StreamingPairPreservesOrderAndCount) {
-  SpscRing<std::uint64_t> r(64);
-  constexpr std::uint64_t kN = 200000;
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kN;) {
-      if (r.try_enqueue(i)) ++i;
-    }
-  });
-  std::uint64_t expect = 0;
-  while (expect < kN) {
-    if (auto v = r.try_dequeue()) {
-      ASSERT_EQ(*v, expect);
-      ++expect;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(r.empty());
-}
-
-TEST(SpscRing, MoveOnlyPayload) {
-  SpscRing<std::unique_ptr<int>> r(4);
-  EXPECT_TRUE(r.try_enqueue(std::make_unique<int>(7)));
-  auto v = r.try_dequeue();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 7);
 }
 
 }  // namespace

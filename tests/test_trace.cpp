@@ -1,7 +1,7 @@
 // Unit + integration tests for the tracing & metrics subsystem
 // (src/trace): ring wrap/drop accounting, cross-thread flush ordering,
-// the counter registry, span reconstruction, and both exporters — the
-// Chrome trace_event JSON is parsed with the strict test-side parser and
+// the counter registry, span reconstruction, and the Chrome trace_event
+// exporter, whose JSON is parsed with the strict test-side parser and
 // checked for begin/end pairing, per-PE tracks, monotonic timestamps and
 // drop counters.
 #include <gtest/gtest.h>
@@ -391,41 +391,6 @@ TEST(TraceChromeExport, MachinePingPongEndToEnd) {
   // The counter registry saw the same traffic the timeline recorded.
   EXPECT_GE(machine.metrics().total("pe.msgs.executed"),
             static_cast<std::uint64_t>(kRounds));
-}
-
-// ---- summary export -------------------------------------------------------
-
-TEST(TraceSummary, SummaryJsonRoundTrips) {
-  Session session(true, 64);
-  EventRing* pe0 = session.make_ring(0, 0, "pe0");
-  pe0->emit({100, 3, EventKind::kHandlerBegin});
-  pe0->emit({400, 3, EventKind::kHandlerEnd});
-  pe0->emit({400, 0, EventKind::kIdleBegin});
-  pe0->emit({500, 0, EventKind::kIdleEnd});
-
-  const auto summary = bgq::trace::summarize(session.collect());
-  ASSERT_EQ(summary.tracks.size(), 1u);
-  EXPECT_EQ(summary.tracks[0].events, 4u);
-  EXPECT_DOUBLE_EQ(summary.tracks[0].busy_fraction, 300.0 / 400.0);
-  EXPECT_EQ(summary.tracks[0].handler_ns.count(), 1u);
-  EXPECT_DOUBLE_EQ(summary.tracks[0].handler_ns.mean(), 300.0);
-
-  bgq::trace::Registry reg;
-  const auto id = reg.intern("pe.msgs.executed");
-  reg.make_shard("pe0")->add(id, 42);
-  const auto counters = reg.report();
-
-  std::ostringstream os;
-  bgq::trace::write_summary_json(os, summary, &counters);
-  const auto doc = bgq::testjson::parse(os.str());
-  EXPECT_EQ(doc->at("schema").str, "bgq-trace-summary-v1");
-  EXPECT_EQ(doc->at("total_events").num, 4.0);
-  EXPECT_EQ(doc->at("total_dropped").num, 0.0);
-  ASSERT_EQ(doc->at("tracks").arr.size(), 1u);
-  const auto& t0 = *doc->at("tracks").arr[0];
-  EXPECT_EQ(t0.at("name").str, "pe0");
-  EXPECT_EQ(t0.at("kinds").at("handler").num, 1.0);
-  EXPECT_EQ(doc->at("counters").at("pe.msgs.executed").num, 42.0);
 }
 
 }  // namespace
