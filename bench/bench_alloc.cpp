@@ -18,7 +18,6 @@
 #include "alloc/arena_allocator.hpp"
 #include "alloc/pool_allocator.hpp"
 #include "bench_json.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 
@@ -76,17 +75,19 @@ void run_figure6(bench::JsonReport& json) {
   TextTable tbl({"bytes", "arena_ns", "pool_ns", "speedup",
                  "arena_waits"});
   for (std::size_t bytes : {64u, 256u, 1024u, 4096u, 16384u}) {
-    alloc::ArenaAllocator arena(kThreads);
-    alloc::PoolAllocator pool(kThreads);
+    trace::Registry metrics;
+    alloc::ArenaAllocator arena(metrics, kThreads);
+    alloc::PoolAllocator pool(metrics, kThreads);
     episode_ns_per_op(pool, kThreads, bytes, 4);   // warm the pools
     episode_ns_per_op(arena, kThreads, bytes, 4);  // warm the free lists
     const double ta = episode_ns_per_op(arena, kThreads, bytes, kInner);
     const double tp = episode_ns_per_op(pool, kThreads, bytes, kInner);
-    tbl.row(bytes, ta, tp, ta / tp, arena.contention_events());
+    const std::uint64_t waits = metrics.total("alloc.arena.contention");
+    tbl.row(bytes, ta, tp, ta / tp, waits);
     const std::string sz = std::to_string(bytes);
     json.add("fig6.arena_ns." + sz, ta);
     json.add("fig6.pool_ns." + sz, tp);
-    json.add("fig6.arena_waits." + sz, arena.contention_events());
+    json.add("fig6.arena_waits." + sz, waits);
   }
   tbl.print();
   std::printf("\n");
@@ -95,7 +96,8 @@ void run_figure6(bench::JsonReport& json) {
 // ---- single-thread micro costs (google-benchmark) -------------------------
 
 void BM_ArenaAllocFree(benchmark::State& state) {
-  alloc::ArenaAllocator a(1);
+  trace::Registry metrics;
+  alloc::ArenaAllocator a(metrics, 1);
   const auto bytes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     void* p = a.allocate(0, bytes);
@@ -106,7 +108,8 @@ void BM_ArenaAllocFree(benchmark::State& state) {
 BENCHMARK(BM_ArenaAllocFree)->Arg(256)->Arg(4096);
 
 void BM_PoolAllocFree(benchmark::State& state) {
-  alloc::PoolAllocator a(1);
+  trace::Registry metrics;
+  alloc::PoolAllocator a(metrics, 1);
   const auto bytes = static_cast<std::size_t>(state.range(0));
   // Prime the pool.
   a.deallocate(0, a.allocate(0, bytes));

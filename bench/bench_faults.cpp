@@ -19,11 +19,11 @@
 
 #include "bench_json.hpp"
 #include "charm/ft_apps.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 #include "converse/machine.hpp"
 #include "net/fault.hpp"
+#include "trace/histogram.hpp"
 
 using namespace bgq;
 
@@ -68,13 +68,13 @@ void run_latency(const cvs::MachineConfig& cfg, std::size_t bytes,
   cvs::Machine machine(cfg);
   const auto peer = static_cast<cvs::PeRank>(machine.pe_count() - 1);
 
-  SampleSet rtts;
+  trace::Histogram rtts;  // round trips, ns
   std::atomic<int> remaining{rounds};
   std::uint64_t t0 = 0;
   const cvs::HandlerId bounce = machine.register_handler(
       [&](cvs::Pe& pe, cvs::Message* m) {
         if (pe.rank() == 0) {
-          rtts.add(static_cast<double>(now_ns() - t0) * 1e-3);
+          rtts.record(now_ns() - t0);
           if (remaining.fetch_sub(1) - 1 <= 0) {
             pe.free_message(m);
             pe.exit_all();
@@ -99,7 +99,7 @@ void run_latency(const cvs::MachineConfig& cfg, std::size_t bytes,
   const auto epp = static_cast<topo::NodeId>(machine.process_of(peer));
   const int hops = machine.torus().hops(fab.node_of(ep0), fab.node_of(epp));
   r.oneway_us =
-      rtts.median() / 2.0 +
+      static_cast<double>(rtts.percentile(0.5)) * 1e-3 / 2.0 +
       fab.params().wire_time_ns(bytes + sizeof(cvs::MsgHeader), hops) * 1e-3;
   harvest(machine, r);
 }
@@ -189,14 +189,12 @@ CrashResult run_crash(std::uint32_t period_ms, const char* plan) {
   r.total_ms = static_cast<double>(t1 - t0) * 1e-6;
   r.digest = app.digest();
   r.finished = app.finished();
-  const auto* mgr = machine.ft_manager();
-  if (mgr != nullptr) {
-    r.recovery_us = static_cast<double>(mgr->recovery_ns()) * 1e-3;
-    r.detect_us = static_cast<double>(mgr->detect_ns()) * 1e-3;
-    r.checkpoints = mgr->checkpoints();
-    r.ckpt_bytes = mgr->checkpoint_bytes();
-    r.recoveries = mgr->recoveries();
-  }
+  const trace::Report rep = machine.metrics_report();
+  r.recovery_us = static_cast<double>(rep.value("ft.recovery_ns")) * 1e-3;
+  r.detect_us = static_cast<double>(rep.value("ft.detect_ns")) * 1e-3;
+  r.checkpoints = rep.value("ft.checkpoints");
+  r.ckpt_bytes = rep.value("ft.checkpoint_bytes");
+  r.recoveries = rep.value("ft.recoveries");
   return r;
 }
 

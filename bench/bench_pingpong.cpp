@@ -20,12 +20,12 @@
 #include <string>
 
 #include "bench_json.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 #include "converse/machine.hpp"
 #include "net/fault.hpp"
 #include "trace/analysis.hpp"
+#include "trace/histogram.hpp"
 #include "transport_pingpong.hpp"
 
 using namespace bgq;
@@ -63,7 +63,7 @@ Result run_pingpong(cvs::MachineConfig cfg, std::size_t bytes, int rounds,
   const cvs::PeRank peer =
       near_peer ? 1 : static_cast<cvs::PeRank>(machine.pe_count() - 1);
 
-  SampleSet rtts;
+  trace::Histogram rtts;  // round trips, ns
   std::atomic<int> remaining{rounds};
   std::uint64_t t0 = 0;
 
@@ -71,7 +71,7 @@ Result run_pingpong(cvs::MachineConfig cfg, std::size_t bytes, int rounds,
       [&](cvs::Pe& pe, cvs::Message* m) {
         if (pe.rank() == 0) {
           const std::uint64_t t1 = now_ns();
-          rtts.add(static_cast<double>(t1 - t0) * 1e-3);
+          rtts.record(t1 - t0);
           if (remaining.fetch_sub(1) - 1 <= 0) {
             pe.free_message(m);
             pe.exit_all();
@@ -105,7 +105,8 @@ Result run_pingpong(cvs::MachineConfig cfg, std::size_t bytes, int rounds,
     r.wire_us =
         fab.params().wire_time_ns(bytes + sizeof(cvs::MsgHeader), hops) * 1e-3;
   }
-  r.one_way_us = rtts.median() / 2.0 + r.wire_us;
+  r.one_way_us =
+      static_cast<double>(rtts.percentile(0.5)) * 1e-3 / 2.0 + r.wire_us;
 
   const trace::Report rep = machine.metrics_report();
   for (std::size_t i = 0; i < std::size(kNetKeys); ++i) {

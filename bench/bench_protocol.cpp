@@ -12,10 +12,10 @@
 #include <string>
 
 #include "bench_json.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 #include "converse/machine.hpp"
+#include "trace/histogram.hpp"
 
 using namespace bgq;
 
@@ -32,14 +32,14 @@ double one_way_us(std::size_t bytes, bool force_rendezvous, int rounds) {
   cvs::Machine machine(cfg);
   const auto peer = static_cast<cvs::PeRank>(machine.pe_count() - 1);
 
-  SampleSet rtts;
+  trace::Histogram rtts;  // round trips, ns
   std::atomic<int> remaining{rounds};
   std::uint64_t t0 = 0;
 
   const cvs::HandlerId bounce = machine.register_handler(
       [&](cvs::Pe& pe, cvs::Message* m) {
         if (pe.rank() == 0) {
-          rtts.add((now_ns() - t0) * 1e-3);
+          rtts.record(now_ns() - t0);
           if (remaining.fetch_sub(1) - 1 <= 0) {
             pe.free_message(m);
             pe.exit_all();
@@ -59,7 +59,7 @@ double one_way_us(std::size_t bytes, bool force_rendezvous, int rounds) {
     t0 = now_ns();
     pe.send_message(peer, m);
   });
-  return rtts.median() / 2.0;
+  return static_cast<double>(rtts.percentile(0.5)) * 1e-3 / 2.0;
 }
 
 }  // namespace

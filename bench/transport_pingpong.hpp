@@ -21,9 +21,9 @@
 #include <cstring>
 #include <string>
 
-#include "common/stats.hpp"
 #include "common/timing.hpp"
 #include "converse/machine.hpp"
+#include "trace/histogram.hpp"
 #include "transport/config.hpp"
 
 namespace bgq::bench_transport {
@@ -46,7 +46,7 @@ inline PingPongResult run_pingpong_ranked(const transport::Config& tc,
   cfg.transport = tc;
   cvs::Machine machine(cfg);
 
-  SampleSet rtts;
+  trace::Histogram rtts;  // round trips, ns
   std::atomic<int> remaining{rounds};
   std::uint64_t t0 = 0;
 
@@ -54,7 +54,7 @@ inline PingPongResult run_pingpong_ranked(const transport::Config& tc,
       [&](cvs::Pe& pe, cvs::Message* m) {
         if (pe.rank() == 0) {
           const std::uint64_t t1 = now_ns();
-          rtts.add(static_cast<double>(t1 - t0) * 1e-3);
+          rtts.record(t1 - t0);
           if (remaining.fetch_sub(1) - 1 <= 0) {
             pe.free_message(m);
             pe.exit_all();
@@ -76,7 +76,7 @@ inline PingPongResult run_pingpong_ranked(const transport::Config& tc,
   });
 
   PingPongResult r;
-  r.one_way_us = rtts.median() / 2.0;
+  r.one_way_us = static_cast<double>(rtts.percentile(0.5)) * 1e-3 / 2.0;
   const trace::Report rep = machine.metrics_report();
   r.injects = rep.value("net.transport.injects");
   r.polls = rep.value("net.transport.polls");

@@ -33,10 +33,12 @@ void raw_delete(BufferHeader* h) {
 
 }  // namespace
 
-ArenaAllocator::ArenaAllocator(ThreadId nthreads, std::size_t narenas)
+ArenaAllocator::ArenaAllocator(trace::Registry& metrics, ThreadId nthreads,
+                               std::size_t narenas)
     : nthreads_(nthreads),
       arenas_(narenas != 0 ? narenas
-                           : std::max<std::size_t>(1, nthreads / 4)) {
+                           : std::max<std::size_t>(1, nthreads / 4)),
+      contention_(metrics.cell("alloc.arena.contention")) {
   if (nthreads == 0) throw std::invalid_argument("nthreads must be > 0");
 }
 
@@ -85,7 +87,7 @@ void* ArenaAllocator::allocate(ThreadId tid, std::size_t bytes) {
   Arena& arena = arenas_[preferred];
   {
     std::lock_guard<std::mutex> g(arena.mutex);
-    ++arena.contended;
+    contention_.add();
     return allocate_from(arena, static_cast<std::uint32_t>(preferred),
                          bytes);
   }
@@ -106,18 +108,8 @@ void ArenaAllocator::deallocate(ThreadId /*tid*/, void* p) {
   const bool contended = !arena.mutex.try_lock();
   if (contended) arena.mutex.lock();
   std::lock_guard<std::mutex> g(arena.mutex, std::adopt_lock);
-  if (contended) ++arena.contended;
+  if (contended) contention_.add();
   arena.free_lists[h->size_class].push_back(p);
-}
-
-std::uint64_t ArenaAllocator::contention_events() const {
-  std::uint64_t total = 0;
-  for (auto& arena : arenas_) {
-    std::lock_guard<std::mutex> g(
-        const_cast<std::mutex&>(arena.mutex));
-    total += arena.contended;
-  }
-  return total;
 }
 
 }  // namespace bgq::alloc

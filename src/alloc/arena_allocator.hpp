@@ -20,6 +20,7 @@
 
 #include "alloc/allocator.hpp"
 #include "common/cacheline.hpp"
+#include "trace/registry.hpp"
 
 namespace bgq::alloc {
 
@@ -29,8 +30,11 @@ class ArenaAllocator final : public IAllocator {
   /// glibc creates roughly `8 * cores` arenas, but a 64-thread BG/Q node
   /// saw heavy sharing; `arenas_per_thread` below 1 reproduces that
   /// pressure.  Default: one arena per four threads, the regime the paper's
-  /// contention observation corresponds to.
-  explicit ArenaAllocator(ThreadId nthreads, std::size_t narenas = 0);
+  /// contention observation corresponds to.  Every time an allocate or
+  /// free has to wait for an arena mutex counts in `metrics` as
+  /// alloc.arena.contention.
+  ArenaAllocator(trace::Registry& metrics, ThreadId nthreads,
+                 std::size_t narenas = 0);
   ~ArenaAllocator() override;
 
   void* allocate(ThreadId tid, std::size_t bytes) override;
@@ -39,15 +43,10 @@ class ArenaAllocator final : public IAllocator {
 
   std::size_t arena_count() const { return arenas_.size(); }
 
-  /// Total number of times an allocate/free had to *wait* for an arena
-  /// mutex (contention events); used by tests and reported by bench_alloc.
-  std::uint64_t contention_events() const;
-
  private:
   struct alignas(kL2Line) Arena {
     std::mutex mutex;
     std::vector<void*> free_lists[detail::kNumSizeClasses];
-    std::uint64_t contended = 0;  // guarded by mutex
   };
 
   void* allocate_from(Arena& arena, std::uint32_t arena_id,
@@ -55,6 +54,7 @@ class ArenaAllocator final : public IAllocator {
 
   const ThreadId nthreads_;
   std::vector<Arena> arenas_;
+  trace::Cell& contention_;
 };
 
 }  // namespace bgq::alloc

@@ -49,7 +49,7 @@ void raw_delete(BufferHeader* h) {
 /// which is what makes the pop CAS ABA-safe (a node can't be recycled
 /// out from under the single popper).
 struct PoolAllocator::ThreadPools {
-  explicit ThreadPools(std::size_t slots)
+  ThreadPools(std::size_t slots, trace::Registry& metrics)
       : pools{queue::L2AtomicQueue<void*>(slots),
               queue::L2AtomicQueue<void*>(slots),
               queue::L2AtomicQueue<void*>(slots),
@@ -61,15 +61,20 @@ struct PoolAllocator::ThreadPools {
               queue::L2AtomicQueue<void*>(slots),
               queue::L2AtomicQueue<void*>(slots),
               queue::L2AtomicQueue<void*>(slots),
-              queue::L2AtomicQueue<void*>(slots)} {}
+              queue::L2AtomicQueue<void*>(slots)},
+        pool_hits(metrics.cell("alloc.pool.hits")),
+        heap_allocs(metrics.cell("alloc.heap.allocs")),
+        heap_frees(metrics.cell("alloc.heap.frees")),
+        slab_hits(metrics.cell("alloc.slab.hits")),
+        slab_carves(metrics.cell("alloc.slab.carves")) {}
 
   queue::L2AtomicQueue<void*> pools[kNumSizeClasses];
 
-  alignas(kL2Line) std::atomic<std::uint64_t> pool_hits{0};
-  std::atomic<std::uint64_t> heap_allocs{0};
-  std::atomic<std::uint64_t> heap_frees{0};
-  std::atomic<std::uint64_t> slab_hits{0};
-  std::atomic<std::uint64_t> slab_carves{0};
+  trace::Cell& pool_hits;    ///< allocs served from a pool
+  trace::Cell& heap_allocs;  ///< allocs that went to the heap
+  trace::Cell& heap_frees;   ///< frees spilled past the threshold
+  trace::Cell& slab_hits;    ///< allocs served from slab memory
+  trace::Cell& slab_carves;  ///< buffers carved from slab blocks
 
   // Slab state.  `spill` holds user pointers of free slab buffers.
   alignas(kL2Line) std::atomic<void*> spill{nullptr};
@@ -111,13 +116,16 @@ struct PoolAllocator::ThreadPools {
 static_assert(kNumSizeClasses == 12,
               "ThreadPools initializer list must match kNumSizeClasses");
 
-PoolAllocator::PoolAllocator(ThreadId nthreads, std::size_t pool_slots,
-                             std::size_t slab_class)
-    : nthreads_(nthreads), pool_slots_(pool_slots), slab_class_(slab_class) {
+PoolAllocator::PoolAllocator(trace::Registry& metrics, ThreadId nthreads,
+                             std::size_t pool_slots, std::size_t slab_class)
+    : nthreads_(nthreads),
+      pool_slots_(pool_slots),
+      slab_class_(slab_class),
+      unslotted_allocs_(metrics.cell("alloc.heap.allocs")) {
   if (nthreads == 0) throw std::invalid_argument("nthreads must be > 0");
   pools_.reserve(nthreads);
   for (ThreadId t = 0; t < nthreads; ++t) {
-    pools_.push_back(std::make_unique<ThreadPools>(pool_slots_));
+    pools_.push_back(std::make_unique<ThreadPools>(pool_slots_, metrics));
   }
 }
 
@@ -161,14 +169,14 @@ void* PoolAllocator::carve(ThreadPools& mine, ThreadId tid) {
   h->size_class = static_cast<std::uint16_t>(slab_class_);
   h->kind = kKindSlab;
   h->magic = kLiveMagic;
-  mine.slab_carves.fetch_add(1, std::memory_order_relaxed);
+  mine.slab_carves.add();
   return user;
 }
 
 void* PoolAllocator::allocate(ThreadId tid, std::size_t bytes) {
   if (tid >= nthreads_) {
     // A thread with no slot owns no pool: serve it from the heap.
-    unslotted_allocs_.fetch_add(1, std::memory_order_relaxed);
+    unslotted_allocs_.add();
     void* user = static_cast<char*>(raw_new(bytes)) + sizeof(BufferHeader);
     auto* h = header_of(user);
     h->owner = 0;
@@ -189,9 +197,9 @@ void* PoolAllocator::allocate(ThreadId tid, std::size_t bytes) {
       BGQ_SCHED_POINT("alloc.pool.hit");
       h->magic = kLiveMagic;
       h->owner = tid;  // ownership is stable, but keep the header honest
-      mine.pool_hits.fetch_add(1, std::memory_order_relaxed);
+      mine.pool_hits.add();
       if (h->kind == kKindSlab) {
-        mine.slab_hits.fetch_add(1, std::memory_order_relaxed);
+        mine.slab_hits.add();
       }
       return user;
     }
@@ -204,7 +212,7 @@ void* PoolAllocator::allocate(ThreadId tid, std::size_t bytes) {
           h->magic = kLiveMagic;
         }
         h->owner = tid;
-        mine.slab_hits.fetch_add(1, std::memory_order_relaxed);
+        mine.slab_hits.add();
         return user;
       }
       if (void* user = carve(mine, tid)) return user;
@@ -219,7 +227,7 @@ void* PoolAllocator::allocate(ThreadId tid, std::size_t bytes) {
   h->size_class = static_cast<std::uint16_t>(cls);
   h->kind = cls < kNumSizeClasses ? kKindPool : kKindHeapDirect;
   h->magic = kLiveMagic;
-  mine.heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  mine.heap_allocs.add();
   trace::emit_here(trace::EventKind::kAllocHeapGrow,
                    static_cast<std::uint32_t>(cls));
   return user;
@@ -252,41 +260,9 @@ void PoolAllocator::deallocate(ThreadId /*tid*/, void* p) {
     const std::uint16_t cls = h->size_class;
     raw_delete(h);
     // Counted on the owner: the freeing thread may have no slot here.
-    owner.heap_frees.fetch_add(1, std::memory_order_relaxed);
+    owner.heap_frees.add();
     trace::emit_here(trace::EventKind::kAllocHeapSpill, cls);
   }
-}
-
-std::uint64_t PoolAllocator::pool_hits() const {
-  std::uint64_t n = 0;
-  for (auto& tp : pools_) n += tp->pool_hits.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t PoolAllocator::heap_allocs() const {
-  std::uint64_t n = unslotted_allocs_.load(std::memory_order_relaxed);
-  for (auto& tp : pools_)
-    n += tp->heap_allocs.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t PoolAllocator::heap_frees() const {
-  std::uint64_t n = 0;
-  for (auto& tp : pools_) n += tp->heap_frees.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t PoolAllocator::slab_hits() const {
-  std::uint64_t n = 0;
-  for (auto& tp : pools_) n += tp->slab_hits.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t PoolAllocator::slab_carves() const {
-  std::uint64_t n = 0;
-  for (auto& tp : pools_)
-    n += tp->slab_carves.load(std::memory_order_relaxed);
-  return n;
 }
 
 }  // namespace bgq::alloc

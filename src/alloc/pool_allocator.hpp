@@ -15,13 +15,13 @@
 // finds the pool full (the threshold) releases the buffer to the heap.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "alloc/allocator.hpp"
 #include "queue/l2_atomic_queue.hpp"
+#include "trace/registry.hpp"
 
 namespace bgq::alloc {
 
@@ -41,21 +41,17 @@ class PoolAllocator final : public IAllocator {
   /// `pool_slots` is the per-(thread, class) pool threshold — buffers
   /// beyond it are freed to the heap (slab buffers: to the spill
   /// stack).  It also caps how many slab buffers each thread carves;
-  /// `slab_class` = kNumSizeClasses disables the slab path.
-  explicit PoolAllocator(ThreadId nthreads, std::size_t pool_slots = 512,
-                         std::size_t slab_class = 2);
+  /// `slab_class` = kNumSizeClasses disables the slab path.  Each thread
+  /// slot counts into its own cells of `metrics` (alloc.pool.hits,
+  /// alloc.heap.allocs, alloc.heap.frees, alloc.slab.hits,
+  /// alloc.slab.carves).
+  PoolAllocator(trace::Registry& metrics, ThreadId nthreads,
+                std::size_t pool_slots = 512, std::size_t slab_class = 2);
   ~PoolAllocator() override;
 
   void* allocate(ThreadId tid, std::size_t bytes) override;
   void deallocate(ThreadId tid, void* p) override;
   ThreadId thread_count() const override { return nthreads_; }
-
-  /// Observability for tests/benches.
-  std::uint64_t pool_hits() const;   ///< allocs served from a pool
-  std::uint64_t heap_allocs() const; ///< allocs that went to the heap
-  std::uint64_t heap_frees() const;  ///< frees spilled past the threshold
-  std::uint64_t slab_hits() const;   ///< allocs served from slab memory
-  std::uint64_t slab_carves() const; ///< buffers carved from slab blocks
 
  private:
   struct ThreadPools;
@@ -66,7 +62,7 @@ class PoolAllocator final : public IAllocator {
   const std::size_t pool_slots_;
   const std::size_t slab_class_;
   std::vector<std::unique_ptr<ThreadPools>> pools_;  // one per thread
-  std::atomic<std::uint64_t> unslotted_allocs_{0};   // kNoSlot heap path
+  trace::Cell& unslotted_allocs_;  // kNoSlot heap path (alloc.heap.allocs)
 };
 
 }  // namespace bgq::alloc

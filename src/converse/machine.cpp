@@ -285,12 +285,15 @@ Process::Process(Machine& machine, pami::EndpointId endpoint)
   if (machine.multiproc()) poller_slot_ = nthreads++;
 
   if (cfg.use_pool_allocator) {
-    allocator_ = std::make_unique<alloc::PoolAllocator>(nthreads);
+    allocator_ =
+        std::make_unique<alloc::PoolAllocator>(machine.metrics(), nthreads);
   } else {
-    allocator_ = std::make_unique<alloc::ArenaAllocator>(nthreads);
+    allocator_ =
+        std::make_unique<alloc::ArenaAllocator>(machine.metrics(), nthreads);
   }
 
-  client_ = std::make_unique<pami::Client>(machine.fabric(), endpoint,
+  client_ = std::make_unique<pami::Client>(machine.metrics(), machine.fabric(),
+                                           endpoint,
                                            cfg.contexts_per_process());
   if (cfg.reliable) client_->enable_reliability(cfg.reliability);
   register_dispatches();
@@ -512,7 +515,8 @@ void Process::start_comm_threads(unsigned n) {
   Machine* mach = &machine_;
   const auto ep = static_cast<std::uint32_t>(endpoint_);
   comm_pool_ = std::make_unique<pami::CommThreadPool>(
-      std::move(ctxs), n, [this, workers, mach, ep](unsigned comm_tid) {
+      mach->metrics(), std::move(ctxs), n,
+      [this, workers, mach, ep](unsigned comm_tid) {
         // Comm threads use allocator slots after the workers'.
         bind_thread(workers + comm_tid);
         const std::string label =
@@ -535,7 +539,10 @@ void Process::stop_comm_threads() {
 Machine::Machine(MachineConfig cfg)
     : cfg_(cfg),
       torus_(topo::Torus::bgq_partition(cfg.nodes)),
-      trace_(cfg.trace_events, cfg.trace_ring_events) {
+      ring_drops_(metrics_.cell("trace.ring.drops")),
+      ring_hwm_(metrics_.cell("trace.ring.hwm")),
+      trace_(cfg.trace_events, cfg.trace_ring_events),
+      stale_drops_(metrics_.cell("ft.stale_drops")) {
   // Intern every machine-layer counter before any Pe makes its shard, so
   // shards are born full-size and never resize on the hot path.
   ids_.msgs_executed = metrics_.intern("pe.msgs.executed");
@@ -558,6 +565,13 @@ Machine::Machine(MachineConfig cfg)
   hist_ids_.network_ns = metrics_.intern_hist("lat.network_ns");
   hist_ids_.queue_ns = metrics_.intern_hist("lat.queue_ns");
   hist_ids_.handler_ns = metrics_.intern_hist("lat.handler_ns");
+  // The FT manager's counters report (as zeros) on machines without one.
+  for (const char* name :
+       {"ft.checkpoints", "ft.checkpoints_skipped", "ft.recoveries",
+        "ft.crashes", "ft.heartbeats", "ft.watchdog_dumps",
+        "ft.checkpoint_bytes", "ft.recovery_ns", "ft.detect_ns"}) {
+    metrics_.intern(name);
+  }
   // Transport backend: an explicit config wins; otherwise BGQ_TRANSPORT
   // lets the bgq-run launcher make any existing binary host one rank of a
   // multi-process job.
@@ -579,18 +593,19 @@ Machine::Machine(MachineConfig cfg)
     }
     switch (cfg_.transport.kind) {
       case transport::Kind::kShm:
-        transport_ = std::make_unique<transport::ShmTransport>(cfg_.transport);
+        transport_ = std::make_unique<transport::ShmTransport>(
+            metrics_, cfg_.transport);
         break;
       case transport::Kind::kSocket:
-        transport_ =
-            std::make_unique<transport::SocketTransport>(cfg_.transport);
+        transport_ = std::make_unique<transport::SocketTransport>(
+            metrics_, cfg_.transport);
         break;
       case transport::Kind::kInProc:
         break;  // unreachable: remote() gated above
     }
   }
   fabric_ = std::make_unique<net::Fabric>(
-      torus_, cfg_.net, cfg_.contexts_per_process(),
+      metrics_, torus_, cfg_.net, cfg_.contexts_per_process(),
       cfg_.effective_processes_per_node(), cfg_.rec_fifo_capacity,
       transport_.get());
   if (multiproc_) {
@@ -866,115 +881,6 @@ void Machine::quiesce_peers() {
 }
 
 trace::Report Machine::metrics_report() {
-  // Fold the allocator and comm-thread counters in as gauges so one
-  // report covers the whole machine (summing across processes).
-  std::uint64_t pool_hits = 0, heap_allocs = 0, heap_frees = 0;
-  std::uint64_t slab_hits = 0, slab_carves = 0;
-  std::uint64_t arena_contention = 0, sweeps = 0, parks = 0;
-  bool any_pool = false, any_arena = false, any_comm = false;
-  for (const auto& proc : processes_) {
-    if (auto* pool =
-            dynamic_cast<alloc::PoolAllocator*>(&proc->allocator())) {
-      any_pool = true;
-      pool_hits += pool->pool_hits();
-      heap_allocs += pool->heap_allocs();
-      heap_frees += pool->heap_frees();
-      slab_hits += pool->slab_hits();
-      slab_carves += pool->slab_carves();
-    } else if (auto* arena = dynamic_cast<alloc::ArenaAllocator*>(
-                   &proc->allocator())) {
-      any_arena = true;
-      arena_contention += arena->contention_events();
-    }
-    if (proc->comm_pool() != nullptr) {
-      any_comm = true;
-      sweeps += proc->comm_pool()->sweeps();
-      parks += proc->comm_pool()->parks();
-    }
-  }
-  if (any_pool) {
-    metrics_.set_gauge("alloc.pool.hits", pool_hits);
-    metrics_.set_gauge("alloc.heap.allocs", heap_allocs);
-    metrics_.set_gauge("alloc.heap.frees", heap_frees);
-    metrics_.set_gauge("alloc.slab.hits", slab_hits);
-    metrics_.set_gauge("alloc.slab.carves", slab_carves);
-  }
-  if (any_arena) {
-    metrics_.set_gauge("alloc.arena.contention", arena_contention);
-  }
-  if (any_comm) {
-    metrics_.set_gauge("comm.sweeps", sweeps);
-    metrics_.set_gauge("comm.parks", parks);
-  }
-
-  // Fault-injection and reliability counters: emitted unconditionally —
-  // all zeros on a lossless run — so dashboards and the bench JSON schema
-  // see a stable key set whether or not chaos was enabled.
-  metrics_.set_gauge("net.drops", fabric_->faults_dropped());
-  metrics_.set_gauge("net.dups", fabric_->faults_duplicated());
-  metrics_.set_gauge("net.delays", fabric_->faults_delayed());
-  metrics_.set_gauge("net.bitflips", fabric_->faults_corrupted());
-  metrics_.set_gauge("net.fifo.rejects", fabric_->fifo_rejects());
-  metrics_.set_gauge("net.fifo.spills", fabric_->fifo_spills());
-  std::uint64_t retx = 0, dup_acks = 0, piggy = 0, alone = 0;
-  std::uint64_t corrupt = 0, dedup = 0, stalls = 0;
-  std::uint64_t evicted = 0, dead_drops = 0;
-  for (const auto& proc : processes_) {
-    pami::Client& cl = proc->client();
-    for (unsigned i = 0; i < cl.context_count(); ++i) {
-      const pami::Context& ctx = cl.context(i);
-      retx += ctx.retransmits();
-      dup_acks += ctx.dup_acks();
-      piggy += ctx.piggybacked_acks();
-      alone += ctx.standalone_acks();
-      corrupt += ctx.corrupt_drops();
-      dedup += ctx.dedup_drops();
-      stalls += ctx.backpressure_stalls();
-      evicted += ctx.dedup_evictions();
-      dead_drops += ctx.dead_peer_drops();
-    }
-  }
-  metrics_.set_gauge("net.retransmits", retx);
-  metrics_.set_gauge("net.dup_acks", dup_acks);
-  metrics_.set_gauge("net.acks.piggybacked", piggy);
-  metrics_.set_gauge("net.acks.standalone", alone);
-  metrics_.set_gauge("net.corrupt_drops", corrupt);
-  metrics_.set_gauge("net.dedup_drops", dedup);
-  metrics_.set_gauge("comm.backpressure_stalls", stalls);
-  metrics_.set_gauge("net.dedup.evicted", evicted);
-  metrics_.set_gauge("net.dead_peer_drops", dead_drops);
-  metrics_.set_gauge("net.blackholed", fabric_->blackholed());
-
-  // Transport counters: stable keys, all zeros for in-process runs.
-  const transport::Counters& tc = fabric_->transport().counters();
-  metrics_.set_gauge("net.transport.injects",
-                     tc.injects.load(std::memory_order_relaxed));
-  metrics_.set_gauge("net.transport.polls",
-                     tc.polls.load(std::memory_order_relaxed));
-  metrics_.set_gauge("net.transport.ring_full",
-                     tc.ring_full.load(std::memory_order_relaxed));
-  metrics_.set_gauge("net.transport.reconnects",
-                     tc.reconnects.load(std::memory_order_relaxed));
-  metrics_.set_gauge("net.transport.frame_errors",
-                     tc.frame_errors.load(std::memory_order_relaxed));
-  metrics_.set_gauge("net.transport.doorbell_wakes",
-                     tc.doorbell_wakes.load(std::memory_order_relaxed));
-
-  // Fault-tolerance counters: same stable-key-set policy — all zeros on a
-  // run with no FT armed.
-  metrics_.set_gauge("ft.checkpoints", ft_ ? ft_->checkpoints() : 0);
-  metrics_.set_gauge("ft.checkpoints_skipped",
-                     ft_ ? ft_->checkpoints_skipped() : 0);
-  metrics_.set_gauge("ft.recoveries", ft_ ? ft_->recoveries() : 0);
-  metrics_.set_gauge("ft.crashes", ft_ ? ft_->crashes_fired() : 0);
-  metrics_.set_gauge("ft.heartbeats", ft_ ? ft_->heartbeats() : 0);
-  metrics_.set_gauge("ft.watchdog_dumps", ft_ ? ft_->watchdog_dumps() : 0);
-  metrics_.set_gauge("ft.checkpoint_bytes",
-                     ft_ ? ft_->checkpoint_bytes() : 0);
-  metrics_.set_gauge("ft.recovery_ns", ft_ ? ft_->recovery_ns() : 0);
-  metrics_.set_gauge("ft.detect_ns", ft_ ? ft_->detect_ns() : 0);
-  metrics_.set_gauge("ft.stale_drops", stale_drops());
-
   // Trace-ring health: total events lost to full rings and the worst
   // per-ring occupancy high-water mark.  Emitted unconditionally (zeros
   // when tracing is off) so a truncated trace is visible in any report
@@ -984,8 +890,8 @@ trace::Report Machine::metrics_report() {
     ring_drops += rs.dropped;
     ring_hwm = std::max(ring_hwm, rs.high_water);
   }
-  metrics_.set_gauge("trace.ring.drops", ring_drops);
-  metrics_.set_gauge("trace.ring.hwm", ring_hwm);
+  ring_drops_.set(ring_drops);
+  ring_hwm_.set(ring_hwm);
   return metrics_.report();
 }
 

@@ -158,14 +158,10 @@ class Pe {
   /// Machine-wide worker barrier (benchmark phase alignment).
   void barrier();
 
-  /// This PE's counter shard in the machine's metrics registry (owner
-  /// thread writes; read whole-machine totals via Machine::metrics()).
-  const trace::Registry::Shard& counters() const noexcept {
-    return *counters_;
-  }
-
-  /// Mutable shard handle for runtime services that account on behalf
-  /// of this PE (the tram Router).  Owner-thread writes only.
+  /// This PE's counter shard in the machine's metrics registry, for
+  /// runtime services that account on behalf of this PE (the tram
+  /// Router).  Owner-thread writes only; read whole-machine totals via
+  /// Machine::metrics().
   trace::Registry::Shard* counters_shard() noexcept { return counters_; }
 
   /// This PE's event ring, or nullptr when the run was configured
@@ -184,7 +180,6 @@ class Pe {
   friend class tram::Router;  // same-PE records execute inline on deagg
 
   void execute(Message* m);
-  bool queue_empty_probe();
 
   Process& process_;
   const PeRank rank_;
@@ -406,12 +401,7 @@ class Machine {
     ft_sent_.store(0, std::memory_order_release);
     ft_executed_.store(0, std::memory_order_release);
   }
-  std::uint64_t stale_drops() const noexcept {
-    return stale_drops_.load(std::memory_order_relaxed);
-  }
-  void note_stale_drop() noexcept {
-    stale_drops_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void note_stale_drop() noexcept { stale_drops_.add(); }
 
   /// Crash a process: its fabric endpoints blackhole, its comm threads
   /// stop, its workers break out of their scheduler loops.  Idempotent.
@@ -459,14 +449,17 @@ class Machine {
 
   // ---- tracing & metrics (src/trace/) ------------------------------------
 
-  /// The machine-wide counter/gauge registry.  Per-PE counters live in
-  /// shards owned by the PEs; totals are exact once run() has returned.
+  /// The machine-wide counter registry, the one store of every runtime
+  /// counter: per-PE counters live in shards owned by the PEs (exact once
+  /// run() has returned), and every component — contexts, fabric and
+  /// FIFOs, transport, allocators, comm threads, FT manager — counts into
+  /// cells it took when it was built (exact at any time).
   trace::Registry& metrics() noexcept { return metrics_; }
   const CounterIds& counter_ids() const noexcept { return ids_; }
   const HistIds& hist_ids() const noexcept { return hist_ids_; }
 
-  /// Snapshot of every counter (summed over PEs) and gauge, including the
-  /// allocator and comm-thread gauges gathered from each process.
+  /// Snapshot of every counter, after setting the trace-ring health
+  /// cells (trace.ring.drops, trace.ring.hwm) from the session.
   trace::Report metrics_report();
 
   /// The event-trace session (per-PE + per-comm-thread rings).  Disabled
@@ -506,6 +499,9 @@ class Machine {
   CounterIds ids_;
   TramIds tram_ids_;
   HistIds hist_ids_;
+  trace::Cell& ring_drops_;  ///< events lost to full trace rings
+  trace::Cell& ring_hwm_;    ///< worst trace-ring occupancy
+
   std::unique_ptr<tram::Router> tram_;
   trace::Session trace_;
   // Declared before the fabric: the fabric holds a raw pointer to the
@@ -545,7 +541,7 @@ class Machine {
   std::atomic<std::uint64_t> ft_sent_{0};
   std::atomic<std::uint64_t> crash_watermark_{0};
   std::atomic<std::uint64_t> ft_executed_{0};
-  std::atomic<std::uint64_t> stale_drops_{0};
+  trace::Cell& stale_drops_;  ///< ft.stale_drops
   // Declared-dead process bitmask (functional machines are tiny; 64
   // processes is far beyond what one host can thread anyway).
   std::atomic<std::uint64_t> dead_mask_{0};

@@ -32,7 +32,16 @@ Manager::Manager(cvs::Machine& mach, Config cfg,
       crash_fired_(crashes_.size(), false),
       // config-derived count: the machine's Process objects don't exist
       // yet when the manager is built.
-      regs_(mach.multiproc() ? mach.config().process_count() : 0) {}
+      regs_(mach.multiproc() ? mach.config().process_count() : 0),
+      checkpoints_(mach.metrics().cell("ft.checkpoints")),
+      skipped_(mach.metrics().cell("ft.checkpoints_skipped")),
+      recoveries_(mach.metrics().cell("ft.recoveries")),
+      crashes_fired_(mach.metrics().cell("ft.crashes")),
+      heartbeats_(mach.metrics().cell("ft.heartbeats")),
+      dumps_(mach.metrics().cell("ft.watchdog_dumps")),
+      ckpt_bytes_(mach.metrics().cell("ft.checkpoint_bytes")),
+      recovery_ns_(mach.metrics().cell("ft.recovery_ns")),
+      detect_ns_(mach.metrics().cell("ft.detect_ns")) {}
 
 Manager::~Manager() { stop(); }
 
@@ -140,7 +149,7 @@ void Manager::fire_crashes(std::uint64_t now) {
       std::_Exit(42);
     }
     mach_.kill_process(ev.process);
-    crashes_fired_.fetch_add(1, std::memory_order_relaxed);
+    crashes_fired_.add();
   }
 }
 
@@ -165,7 +174,7 @@ void Manager::post_heartbeats(std::uint64_t now) {
     if (!mach_.process_local(p)) continue;
     if (mach_.process_killed(p)) continue;
     mach_.process(p).post_heartbeats();
-    heartbeats_.fetch_add(1, std::memory_order_relaxed);
+    heartbeats_.add();
   }
 }
 
@@ -191,7 +200,7 @@ void Manager::detect_failures(std::uint64_t now) {
     // so the survivors' view and the fabric agree from here on.
     mach_.kill_process(p);
     mach_.declare_dead(p);
-    detect_ns_.store(age, std::memory_order_relaxed);
+    detect_ns_.set(age);
     newly_dead = true;
   }
   if (!newly_dead) return;
@@ -225,7 +234,7 @@ void Manager::watchdog(std::uint64_t now) {
     return;
   }
   if (now - last_progress_ns_ < cfg_.watchdog_ms * kMsPerNs) return;
-  dumps_.fetch_add(1, std::memory_order_relaxed);
+  dumps_.add();
   dump_diagnostics("watchdog: no message executed within deadline");
   if (cfg_.watchdog_abort) std::abort();
   hang_.store(true, std::memory_order_release);
@@ -241,6 +250,9 @@ void Manager::unrecoverable(const char* why) {
 
 void Manager::dump_diagnostics(const char* why) {
   const std::uint64_t now = now_ns();
+  // Only cells are read: they are exact mid-run, where the PE shards'
+  // plain counters are not.
+  const trace::Registry& reg = mach_.metrics();
   std::fprintf(stderr, "=== bgq ft diagnostic dump: %s ===\n", why);
   std::fprintf(
       stderr,
@@ -249,7 +261,7 @@ void Manager::dump_diagnostics(const char* why) {
       mach_.msg_epoch(),
       static_cast<unsigned long long>(mach_.ft_sent()),
       static_cast<unsigned long long>(mach_.ft_executed()),
-      static_cast<unsigned long long>(mach_.stale_drops()));
+      static_cast<unsigned long long>(reg.total("ft.stale_drops")));
   for (std::size_t p = 0; p < mach_.process_count(); ++p) {
     const std::uint64_t heard =
         mach_.fabric().last_heard(static_cast<topo::NodeId>(p));
@@ -263,17 +275,14 @@ void Manager::dump_diagnostics(const char* why) {
     pami::Client& cl = mach_.process(p).client();
     for (unsigned i = 0; i < cl.context_count(); ++i) {
       const pami::Context& ctx = cl.context(i);
-      std::fprintf(
-          stderr,
-          "  ctx%u: outstanding=%zu backlog=%zu retransmits=%llu\n", i,
-          ctx.outstanding(), ctx.backlog_size(),
-          static_cast<unsigned long long>(ctx.retransmits()));
+      std::fprintf(stderr, "  ctx%u: outstanding=%zu backlog=%zu\n", i,
+                   ctx.outstanding(), ctx.backlog_size());
     }
   }
-  std::fprintf(stderr, "fabric: blackholed=%llu drops=%llu\n",
-               static_cast<unsigned long long>(mach_.fabric().blackholed()),
-               static_cast<unsigned long long>(
-                   mach_.fabric().faults_dropped()));
+  std::fprintf(stderr, "net: retransmits=%llu blackholed=%llu drops=%llu\n",
+               static_cast<unsigned long long>(reg.total("net.retransmits")),
+               static_cast<unsigned long long>(reg.total("net.blackholed")),
+               static_cast<unsigned long long>(reg.total("net.drops")));
   if (mach_.trace_session().enabled()) {
     const trace::FlatTrace& ft = mach_.trace_session().collect();
     for (const auto& track : ft.tracks) {
@@ -377,8 +386,8 @@ void Manager::on_ctrl(const transport::CtrlMsg& m) {
              !ckpt_seq_.compare_exchange_weak(cur, m.a,
                                               std::memory_order_acq_rel)) {
       }
-      checkpoints_.fetch_add(1, std::memory_order_relaxed);
-      ckpt_bytes_.store(store_.resident_bytes(), std::memory_order_relaxed);
+      checkpoints_.add();
+      ckpt_bytes_.set(store_.resident_bytes());
       last_ckpt_ns_.store(now_ns(), std::memory_order_release);
       return;
     }
@@ -398,7 +407,7 @@ bool Manager::checkpoint_due() const {
   if (!cfg_.enabled || cfg_.checkpoint_period_ms == 0) return false;
   // Until the first commit any failure is unrecoverable, so the first
   // step boundary always checkpoints regardless of the period.
-  if (checkpoints_.load(std::memory_order_relaxed) == 0) return true;
+  if (checkpoints_.get() == 0) return true;
   return now_ns() - last_ckpt_ns_.load(std::memory_order_acquire) >=
          cfg_.checkpoint_period_ms * kMsPerNs;
 }
@@ -540,11 +549,10 @@ void Manager::do_checkpoint(cvs::Pe& pe) {
           ckpt_seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
       snapshot_all(seq);
       store_.commit(seq);
-      checkpoints_.fetch_add(1, std::memory_order_relaxed);
-      ckpt_bytes_.store(store_.resident_bytes(),
-                        std::memory_order_relaxed);
+      checkpoints_.add();
+      ckpt_bytes_.set(store_.resident_bytes());
     } else {
-      skipped_.fetch_add(1, std::memory_order_relaxed);
+      skipped_.add();
     }
     last_ckpt_ns_.store(now_ns(), std::memory_order_release);
     // The detector may have flipped the phase to kRecover while we
@@ -683,8 +691,8 @@ void Manager::do_checkpoint_multi(cvs::Pe& pe) {
              !ckpt_seq_.compare_exchange_weak(cur, seq,
                                               std::memory_order_acq_rel)) {
       }
-      checkpoints_.fetch_add(1, std::memory_order_relaxed);
-      ckpt_bytes_.store(store_.resident_bytes(), std::memory_order_relaxed);
+      checkpoints_.add();
+      ckpt_bytes_.set(store_.resident_bytes());
       // FIFO ordering makes the exit barrier the commit fence: this
       // broadcast precedes our barrier bump on every per-pair stream, so
       // a rank leaving the barrier has already committed.
@@ -694,7 +702,7 @@ void Manager::do_checkpoint_multi(cvs::Pe& pe) {
       cm.c = members;
       mach_.send_ctrl(-1, std::move(cm));
     } else {
-      skipped_.fetch_add(1, std::memory_order_relaxed);
+      skipped_.add();
     }
     last_ckpt_ns_.store(now_ns(), std::memory_order_release);
     Phase expected = Phase::kCheckpoint;
@@ -819,10 +827,10 @@ void Manager::do_recover_multi(cvs::Pe& pe) {
     std::lock_guard<std::mutex> g(rec_mu_);
     rec_blobs_.clear();
   }
-  ckpt_bytes_.store(store_.resident_bytes(), std::memory_order_relaxed);
+  ckpt_bytes_.set(store_.resident_bytes());
   if (cfg_.reset_metrics_epoch) mach_.metrics().reset_epoch();
-  recoveries_.fetch_add(1, std::memory_order_relaxed);
-  recovery_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+  recoveries_.add();
+  recovery_ns_.add(now_ns() - t0);
   last_ckpt_ns_.store(now_ns(), std::memory_order_release);
   phase_.store(Phase::kRun, std::memory_order_release);
   // Exit barrier *before* the resume: unlike the single-process path,
@@ -856,10 +864,10 @@ void Manager::do_recover(cvs::Pe& pe) {
         ckpt_seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
     snapshot_all(nseq);
     store_.commit(nseq);
-    ckpt_bytes_.store(store_.resident_bytes(), std::memory_order_relaxed);
+    ckpt_bytes_.set(store_.resident_bytes());
     if (cfg_.reset_metrics_epoch) mach_.metrics().reset_epoch();
-    recoveries_.fetch_add(1, std::memory_order_relaxed);
-    recovery_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+    recoveries_.add();
+    recovery_ns_.add(now_ns() - t0);
     last_ckpt_ns_.store(now_ns(), std::memory_order_release);
     phase_.store(Phase::kRun, std::memory_order_release);
     client_->resume(pe);

@@ -31,6 +31,7 @@
 #include "ft/config.hpp"
 #include "ft/store.hpp"
 #include "net/fault.hpp"
+#include "trace/registry.hpp"
 #include "transport/transport.hpp"
 
 namespace bgq::cvs {
@@ -64,6 +65,7 @@ class Client {
 
 class Manager {
  public:
+  /// Counts into the machine's registry (ft.*).
   Manager(cvs::Machine& mach, Config cfg,
           std::vector<net::CrashEvent> crashes);
   ~Manager();
@@ -114,21 +116,6 @@ class Manager {
   }
 
   CheckpointStore& store() noexcept { return store_; }
-
-  // ---- counters (ft.* gauges in Machine::metrics_report) ---------------
-  std::uint64_t checkpoints() const noexcept { return checkpoints_.load(); }
-  std::uint64_t checkpoints_skipped() const noexcept {
-    return skipped_.load();
-  }
-  std::uint64_t recoveries() const noexcept { return recoveries_.load(); }
-  std::uint64_t crashes_fired() const noexcept { return crashes_fired_.load(); }
-  std::uint64_t heartbeats() const noexcept { return heartbeats_.load(); }
-  std::uint64_t watchdog_dumps() const noexcept { return dumps_.load(); }
-  std::uint64_t checkpoint_bytes() const noexcept {
-    return ckpt_bytes_.load();
-  }
-  std::uint64_t recovery_ns() const noexcept { return recovery_ns_.load(); }
-  std::uint64_t detect_ns() const noexcept { return detect_ns_.load(); }
 
  private:
   enum class Phase : int { kRun, kCheckpoint, kRecover };
@@ -210,15 +197,15 @@ class Manager {
   std::uint64_t last_progress_ns_ = 0;
 
   std::atomic<bool> hang_{false};
-  std::atomic<std::uint64_t> checkpoints_{0};
-  std::atomic<std::uint64_t> skipped_{0};
-  std::atomic<std::uint64_t> recoveries_{0};
-  std::atomic<std::uint64_t> crashes_fired_{0};
-  std::atomic<std::uint64_t> heartbeats_{0};
-  std::atomic<std::uint64_t> dumps_{0};
-  std::atomic<std::uint64_t> ckpt_bytes_{0};
-  std::atomic<std::uint64_t> recovery_ns_{0};
-  std::atomic<std::uint64_t> detect_ns_{0};
+  trace::Cell& checkpoints_;
+  trace::Cell& skipped_;       ///< checkpoints_skipped
+  trace::Cell& recoveries_;
+  trace::Cell& crashes_fired_;
+  trace::Cell& heartbeats_;
+  trace::Cell& dumps_;         ///< watchdog_dumps
+  trace::Cell& ckpt_bytes_;    ///< resident checkpoint bytes (set)
+  trace::Cell& recovery_ns_;   ///< summed over recoveries
+  trace::Cell& detect_ns_;     ///< last detection's silence (set)
 };
 
 }  // namespace bgq::ft

@@ -28,13 +28,19 @@ struct Fabric::FaultState {
   std::mutex mu;
 };
 
-Fabric::Fabric(const topo::Torus& torus, NetworkParams params,
-               unsigned rec_fifos_per_endpoint, unsigned endpoints_per_node,
-               std::size_t fifo_capacity, transport::Transport* transport)
+Fabric::Fabric(trace::Registry& metrics, const topo::Torus& torus,
+               NetworkParams params, unsigned rec_fifos_per_endpoint,
+               unsigned endpoints_per_node, std::size_t fifo_capacity,
+               transport::Transport* transport)
     : torus_(torus),
       params_(params),
       fifos_per_node_(rec_fifos_per_endpoint),
-      endpoints_per_node_(endpoints_per_node) {
+      endpoints_per_node_(endpoints_per_node),
+      drops_(metrics.cell("net.drops")),
+      dups_(metrics.cell("net.dups")),
+      delays_(metrics.cell("net.delays")),
+      bitflips_(metrics.cell("net.bitflips")),
+      rejects_(metrics.cell("net.fifo.rejects")) {
   if (rec_fifos_per_endpoint == 0) {
     throw std::invalid_argument("need at least one reception FIFO per node");
   }
@@ -46,7 +52,8 @@ Fabric::Fabric(const topo::Torus& torus, NetworkParams params,
   }
   fifos_.reserve(endpoint_count() * fifos_per_node_);
   for (std::size_t i = 0; i < endpoint_count() * fifos_per_node_; ++i) {
-    fifos_.push_back(std::make_unique<ReceptionFifo>(fifo_capacity));
+    fifos_.push_back(std::make_unique<ReceptionFifo>(
+        metrics.cell("net.fifo.spills"), fifo_capacity));
   }
   if (transport != nullptr) {
     if (transport->endpoint_count() != endpoint_count()) {
@@ -55,8 +62,8 @@ Fabric::Fabric(const topo::Torus& torus, NetworkParams params,
     }
     transport_ = transport;
   } else {
-    owned_transport_ =
-        std::make_unique<bgq::transport::InProcTransport>(endpoint_count());
+    owned_transport_ = std::make_unique<bgq::transport::InProcTransport>(
+        metrics, endpoint_count());
     transport_ = owned_transport_.get();
   }
   transport_->set_sink(this);
@@ -81,12 +88,6 @@ ReceptionFifo& Fabric::reception_fifo(topo::NodeId node, unsigned fifo) {
 
 void Fabric::set_fault_plan(const FaultPlan& plan) {
   faults_ = plan.enabled() ? std::make_unique<FaultState>(plan) : nullptr;
-}
-
-std::uint64_t Fabric::fifo_spills() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& f : fifos_) total += f->spills();
-  return total;
 }
 
 void Fabric::inject(Packet* p) {
@@ -163,7 +164,7 @@ void Fabric::fifo_handoff(Packet* p) {
     // sender's reliability layer sees the missing ack and retransmits
     // — refusal becomes backpressure, not loss.
     if (!fifo.try_deliver(p)) {
-      rejects_.fetch_add(1, std::memory_order_relaxed);
+      rejects_.add();
       p->release();
       return;
     }
@@ -223,7 +224,7 @@ void Fabric::inject_faulty(Packet* p) {
       if (plan.bitflip > 0.0 && fs.rng.uniform() < plan.bitflip) {
         // Flip one bit somewhere the receiver will look: payload first,
         // metadata next, the checksum field as a last resort.
-        bitflips_.fetch_add(1, std::memory_order_relaxed);
+        bitflips_.add();
         if (p->payload_bytes != 0) {
           const std::uint64_t bit = fs.rng.below(p->payload_bytes * 8ull);
           p->payload()[bit / 8] ^= std::byte{1} << (bit % 8);
@@ -235,17 +236,17 @@ void Fabric::inject_faulty(Packet* p) {
         }
       }
       if (plan.drop > 0.0 && fs.rng.uniform() < plan.drop) {
-        drops_.fetch_add(1, std::memory_order_relaxed);
+        drops_.add();
         p->release();
         p = nullptr;
       }
       if (p != nullptr && plan.duplicate > 0.0 &&
           fs.rng.uniform() < plan.duplicate) {
-        dups_.fetch_add(1, std::memory_order_relaxed);
+        dups_.add();
         dup = p->clone();
       }
       if (p != nullptr && plan.delay > 0.0 && fs.rng.uniform() < plan.delay) {
-        delays_.fetch_add(1, std::memory_order_relaxed);
+        delays_.add();
         const unsigned ttl = static_cast<unsigned>(
             1 + fs.rng.below(fs.plan.max_delay_injects));
         fs.delayed.push_back({p, ttl});

@@ -24,12 +24,12 @@
 #include <mutex>
 #include <vector>
 
-#include "common/cacheline.hpp"
 #include "net/fault.hpp"
 #include "net/packet.hpp"
 #include "net/params.hpp"
 #include "queue/l2_atomic_queue.hpp"
 #include "topology/torus.hpp"
+#include "trace/registry.hpp"
 #include "transport/transport.hpp"
 #include "wakeup/wakeup_unit.hpp"
 
@@ -39,12 +39,14 @@ namespace bgq::net {
 /// thread services it, that thread's wait gate.
 class ReceptionFifo {
  public:
-  explicit ReceptionFifo(std::size_t capacity = 4096) : q_(capacity) {}
+  /// `spills` counts deliveries that missed the lockless ring.
+  ReceptionFifo(trace::Cell& spills, std::size_t capacity)
+      : q_(capacity), spills_(spills) {}
 
   /// Fabric side.  Lossless: a full lockless ring spills to the queue's
-  /// mutex-protected overflow (counted — see spills()).
+  /// mutex-protected overflow (counted in net.fifo.spills).
   void deliver(Packet* p) {
-    if (!q_.enqueue(p)) spills_.fetch_add(1, std::memory_order_relaxed);
+    if (!q_.enqueue(p)) spills_.add();
     wake();
   }
 
@@ -61,11 +63,6 @@ class ReceptionFifo {
   Packet* poll() { return q_.try_dequeue(); }
 
   bool empty() const { return q_.empty(); }
-
-  /// Deliveries that missed the lockless ring and took the overflow path.
-  std::uint64_t spills() const noexcept {
-    return spills_.load(std::memory_order_relaxed);
-  }
 
   /// Wake the bound gate, if any, after a store its thread waits for —
   /// a delivery, or work posted to the FIFO's context.
@@ -86,7 +83,7 @@ class ReceptionFifo {
  private:
   queue::L2AtomicQueue<Packet*> q_;
   std::atomic<wakeup::WaitGate*> gate_{nullptr};
-  std::atomic<std::uint64_t> spills_{0};
+  trace::Cell& spills_;
 };
 
 /// The whole-machine fabric for functional runs.
@@ -105,9 +102,11 @@ class Fabric : public transport::DeliverySink {
   /// `transport` selects the delivery discipline for endpoints hosted by
   /// other OS processes (not owned; must outlive the fabric); when null
   /// the fabric owns an InProcTransport and behaves exactly as before.
-  Fabric(const topo::Torus& torus, NetworkParams params,
-         unsigned rec_fifos_per_endpoint, unsigned endpoints_per_node = 1,
-         std::size_t fifo_capacity = 4096,
+  /// The fabric, its FIFOs and an owned transport count into `metrics`
+  /// (net.drops, net.fifo.spills, ...).
+  Fabric(trace::Registry& metrics, const topo::Torus& torus,
+         NetworkParams params, unsigned rec_fifos_per_endpoint,
+         unsigned endpoints_per_node = 1, std::size_t fifo_capacity = 4096,
          transport::Transport* transport = nullptr);
   ~Fabric() override;
 
@@ -173,7 +172,7 @@ class Fabric : public transport::DeliverySink {
   // forwards keep the fabric's callers backend-agnostic.
 
   /// Blackhole an endpoint: every future transfer from or to it is
-  /// swallowed (counted in blackholed()), modeling a dead node whose NIC
+  /// swallowed (counted in net.blackholed), modeling a dead node whose NIC
   /// neither sends nor acks.  Irreversible for the run.
   void kill_endpoint(topo::NodeId endpoint) {
     transport_->kill_endpoint(endpoint);
@@ -196,31 +195,6 @@ class Fabric : public transport::DeliverySink {
   void touch_liveness(topo::NodeId ep, std::uint64_t now_ns) noexcept {
     transport_->touch_liveness(ep, now_ns);
   }
-
-  /// Transfers swallowed because an endpoint on either side was dead.
-  std::uint64_t blackholed() const noexcept {
-    return transport_->blackholed();
-  }
-
-  // Injected-fault counters (all zero without a plan).
-  std::uint64_t faults_dropped() const noexcept {
-    return drops_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t faults_duplicated() const noexcept {
-    return dups_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t faults_delayed() const noexcept {
-    return delays_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t faults_corrupted() const noexcept {
-    return bitflips_.load(std::memory_order_relaxed);
-  }
-  /// Deliveries refused by a full FIFO (reject_on_full overload mode).
-  std::uint64_t fifo_rejects() const noexcept {
-    return rejects_.load(std::memory_order_relaxed);
-  }
-  /// Deliveries that took a FIFO's overflow path, summed over all FIFOs.
-  std::uint64_t fifo_spills() const noexcept;
 
  private:
   struct FaultState;
@@ -246,15 +220,13 @@ class Fabric : public transport::DeliverySink {
   std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport* transport_;  ///< never null after construction
 
-  // Under a fault plan every inject may write these, from every injecting
-  // thread.  Aligning the first one gives the block a line of its own, the
-  // object's tail padding included, so no read-mostly data shares it —
-  // neither this object's nor that of whatever the heap places next to it.
-  alignas(kL2Line) std::atomic<std::uint64_t> drops_{0};
-  std::atomic<std::uint64_t> dups_{0};
-  std::atomic<std::uint64_t> delays_{0};
-  std::atomic<std::uint64_t> bitflips_{0};
-  std::atomic<std::uint64_t> rejects_{0};
+  // Injected faults (all zero without a plan) and deliveries refused by a
+  // full FIFO (reject_on_full overload mode).
+  trace::Cell& drops_;
+  trace::Cell& dups_;
+  trace::Cell& delays_;
+  trace::Cell& bitflips_;
+  trace::Cell& rejects_;
 };
 
 }  // namespace bgq::net

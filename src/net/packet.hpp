@@ -46,13 +46,6 @@ enum class TransferKind : std::uint8_t {
   kRdmaWrite,  ///< rput: push bytes into a remote registered buffer
 };
 
-/// A registered memory region (PAMI memregion).  In-process emulation:
-/// just the base pointer and length; "registration" is bounds bookkeeping.
-struct MemRegion {
-  std::byte* base = nullptr;
-  std::size_t bytes = 0;
-};
-
 /// Reliability-protocol packet flags (net/fault.hpp, pami reliability).
 /// Zero on every packet unless the sending client enabled reliability, so
 /// the lossless fast path carries no protocol state.

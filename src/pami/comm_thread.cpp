@@ -8,10 +8,14 @@
 
 namespace bgq::pami {
 
-CommThreadPool::CommThreadPool(std::vector<Context*> contexts,
+CommThreadPool::CommThreadPool(trace::Registry& metrics,
+                               std::vector<Context*> contexts,
                                unsigned nthreads,
                                std::function<void(unsigned)> thread_init)
-    : contexts_(std::move(contexts)), thread_init_(std::move(thread_init)) {
+    : contexts_(std::move(contexts)),
+      thread_init_(std::move(thread_init)),
+      sweeps_(metrics.cell("comm.sweeps")),
+      parks_(metrics.cell("comm.parks")) {
   if (nthreads == 0) throw std::invalid_argument("need >= 1 comm thread");
   if (contexts_.empty()) throw std::invalid_argument("no contexts to serve");
 
@@ -77,7 +81,7 @@ void CommThreadPool::run(unsigned tid) {
     BGQ_SCHED_POINT("comm.poll.sweep");
     std::size_t events = 0;
     for (Context* c : mine) events += c->advance();
-    sweeps_.fetch_add(1, std::memory_order_relaxed);
+    sweeps_.add();
     if (events != 0) {
       idle_since = 0;
       continue;
@@ -106,7 +110,7 @@ void CommThreadPool::run(unsigned tid) {
             if (c->has_pending()) return true;
           }
           // Nothing pending: the commit follows, so the park counts now.
-          parks_.fetch_add(1, std::memory_order_relaxed);
+          parks_.add();
           trace::emit_here(trace::EventKind::kParkBegin, tid);
           return false;
         },

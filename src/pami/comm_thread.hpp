@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "pami/pami.hpp"
+#include "trace/registry.hpp"
 #include "wakeup/wakeup_unit.hpp"
 
 namespace bgq::pami {
@@ -32,10 +33,12 @@ namespace bgq::pami {
 class CommThreadPool {
  public:
   /// Starts `nthreads` comm threads servicing `contexts`, partitioned
-  /// round-robin (context i -> thread i % nthreads).  `thread_init`, if
+  /// round-robin (context i -> thread i % nthreads), counting sweeps and
+  /// parks into `metrics` (comm.sweeps, comm.parks).  `thread_init`, if
   /// set, runs first on each comm thread (the runtime above uses it to
   /// assign allocator thread slots).
-  CommThreadPool(std::vector<Context*> contexts, unsigned nthreads,
+  CommThreadPool(trace::Registry& metrics, std::vector<Context*> contexts,
+                 unsigned nthreads,
                  std::function<void(unsigned)> thread_init = {});
   ~CommThreadPool();
 
@@ -58,14 +61,6 @@ class CommThreadPool {
     return static_cast<unsigned>((worker + seq) % ncontexts);
   }
 
-  // ---- statistics --------------------------------------------------------
-  std::uint64_t sweeps() const noexcept {
-    return sweeps_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t parks() const noexcept {
-    return parks_.load(std::memory_order_relaxed);
-  }
-
  private:
   void run(unsigned tid);
 
@@ -75,8 +70,8 @@ class CommThreadPool {
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
 
-  std::atomic<std::uint64_t> sweeps_{0};
-  std::atomic<std::uint64_t> parks_{0};
+  trace::Cell& sweeps_;
+  trace::Cell& parks_;
 };
 
 }  // namespace bgq::pami

@@ -14,8 +14,21 @@ namespace bgq::pami {
 // Context
 // ---------------------------------------------------------------------------
 
-Context::Context(Client& client, std::uint16_t index)
-    : client_(client), index_(index), work_(1024), posted_sends_(1024) {}
+Context::Context(Client& client, std::uint16_t index,
+                 trace::Registry& metrics)
+    : client_(client),
+      index_(index),
+      work_(1024),
+      posted_sends_(1024),
+      retransmits_(metrics.cell("net.retransmits")),
+      dup_acks_(metrics.cell("net.dup_acks")),
+      acks_piggy_(metrics.cell("net.acks.piggybacked")),
+      acks_alone_(metrics.cell("net.acks.standalone")),
+      corrupt_(metrics.cell("net.corrupt_drops")),
+      dedup_(metrics.cell("net.dedup_drops")),
+      stalls_(metrics.cell("comm.backpressure_stalls")),
+      dedup_evicted_(metrics.cell("net.dedup.evicted")),
+      dead_drops_(metrics.cell("net.dead_peer_drops")) {}
 
 Context::~Context() {
   for (auto& [key, ch] : chans_) {
@@ -36,20 +49,18 @@ net::ReceptionFifo& Context::fifo() {
   return client_.fabric().reception_fifo(client_.endpoint(), index_);
 }
 
-// Both send flavours copy the payload into the packet, so the local
-// completion fires before the call returns; on hardware it fires when the
-// MU has drained the descriptors, which the dispatcher above us cannot
-// distinguish.  They differ only in the immediate size limit and counter.
+// Both send flavours copy the payload into the packet before they return;
+// they differ only in the immediate size limit.
 void Context::send_immediate(const SendParams& p) {
   if (p.metadata_bytes + p.payload_bytes > kImmediateMax) {
     throw std::invalid_argument("send_immediate: exceeds immediate limit");
   }
-  submit(p, imm_sends_);
+  submit(p);
 }
 
-void Context::send(const SendParams& p) { submit(p, sends_); }
+void Context::send(const SendParams& p) { submit(p); }
 
-void Context::submit(const SendParams& p, std::uint64_t& counter) {
+void Context::submit(const SendParams& p) {
   net::Packet* pkt = net::Packet::create(p.metadata_bytes, p.payload_bytes);
   pkt->src = client_.endpoint();
   pkt->dst = p.dest;
@@ -71,8 +82,6 @@ void Context::submit(const SendParams& p, std::uint64_t& counter) {
     }
     client_.fabric().inject(pkt);
   }
-  ++counter;
-  if (p.local_done) p.local_done();
 }
 
 void Context::rget(EndpointId remote, const std::byte* remote_src,
@@ -84,7 +93,6 @@ void Context::rget(EndpointId remote, const std::byte* remote_src,
   pkt->dst = client_.endpoint();     // completion lands back here
   pkt->rec_fifo = index_;
   client_.fabric().inject(pkt);
-  ++sends_;
 }
 
 void Context::rput(EndpointId remote, std::byte* remote_dst,
@@ -98,7 +106,6 @@ void Context::rput(EndpointId remote, std::byte* remote_dst,
   pkt->dst = remote;
   pkt->rec_fifo = dest_context;
   client_.fabric().inject(pkt);
-  ++sends_;
 }
 
 void Context::process(net::Packet* p) {
@@ -128,7 +135,6 @@ void Context::process(net::Packet* p) {
     // RDMA completion notification: the copy already happened at inject.
     p->complete();
   }
-  ++recvs_;
 }
 
 std::size_t Context::advance(std::size_t max_events) {
@@ -147,7 +153,6 @@ std::size_t Context::advance(std::size_t max_events) {
     if (WorkItem* w = work_.try_dequeue()) {
       w->fn();
       delete w;
-      ++work_done_;
       ++events;
       continue;
     }
@@ -196,7 +201,7 @@ void Context::reliable_submit(net::Packet* pkt) {
     }
     backlog_.push_back(pkt);
     backlog_count_.fetch_add(1, std::memory_order_relaxed);
-    ++stalls_;
+    stalls_.add();
     return;
   }
   transmit(ch, pkt);
@@ -211,7 +216,7 @@ void Context::transmit(Channel& ch, net::Packet* pkt) {
   if (take != 0) {
     pkt = net::Packet::with_acks(pkt, take);
     take_acks(ch, *pkt);
-    acks_piggy_ += take;
+    acks_piggy_.add(take);
   }
   pkt->checksum = net::packet_checksum(*pkt);
   // The retransmit buffer keeps a private clone: the fabric owns (and may
@@ -245,7 +250,7 @@ void Context::ack_one(Channel& ch, std::uint64_t seq) {
       return;
     }
   }
-  ++dup_acks_;  // already acked (first ack raced a retransmit)
+  dup_acks_.add();  // already acked (first ack raced a retransmit)
 }
 
 bool Context::reliable_receive(net::Packet* p) {
@@ -253,7 +258,7 @@ bool Context::reliable_receive(net::Packet* p) {
   // Corruption: drop silently — no ack, so the sender's retransmit
   // recovers the clean copy.
   if (net::packet_checksum(*p) != p->checksum) {
-    ++corrupt_;
+    corrupt_.add();
     return false;
   }
   Channel& ch = channel(p->src, p->src_ctx);
@@ -276,7 +281,7 @@ bool Context::reliable_receive(net::Packet* p) {
       std::find(ch.recv_above.begin(), ch.recv_above.end(), seq) !=
           ch.recv_above.end();
   if (seen) {
-    ++dedup_;
+    dedup_.add();
     ch.owed_acks.push_back(seq);
     ++owed_total_;
     return false;
@@ -311,7 +316,7 @@ bool Context::reliable_receive(net::Packet* p) {
       if (ch.recv_above[i] <= floor) {
         ch.recv_above[i] = ch.recv_above.back();
         ch.recv_above.pop_back();
-        ++dedup_evicted_;
+        dedup_evicted_.add();
       } else {
         ++i;
       }
@@ -336,7 +341,7 @@ std::size_t Context::reliability_tick() {
       backlog_.pop_front();
       backlog_count_.fetch_sub(1, std::memory_order_relaxed);
       pkt->release();
-      ++dead_drops_;
+      dead_drops_.add();
       ++activity;
       continue;
     }
@@ -366,7 +371,7 @@ std::size_t Context::reliability_tick() {
           ch.pending.erase(ch.pending.begin() +
                            static_cast<std::ptrdiff_t>(i));
           outstanding_.fetch_sub(1, std::memory_order_relaxed);
-          ++dead_drops_;
+          dead_drops_.add();
           ++activity;
           continue;
         }
@@ -384,7 +389,7 @@ std::size_t Context::reliability_tick() {
                            pend.copy->cid);
         }
         client_.fabric().inject(pend.copy->clone());
-        retransmits_.fetch_add(1, std::memory_order_relaxed);
+        retransmits_.add();
         ++activity;
         ++i;
       }
@@ -405,7 +410,7 @@ std::size_t Context::reliability_tick() {
         ack->flags = net::kPktAck;
         ack->src_ctx = index_;
         take_acks(ch, *ack);
-        acks_alone_ += take;
+        acks_alone_.add(take);
         ack->checksum = net::packet_checksum(*ack);
         BGQ_SCHED_POINT("pami.rel.ackflush");
         client_.fabric().inject(ack);
@@ -439,7 +444,8 @@ void Context::bind_gate(wakeup::WaitGate* g) { fifo().bind_gate(g); }
 // Client
 // ---------------------------------------------------------------------------
 
-Client::Client(net::Fabric& fabric, EndpointId endpoint, unsigned ncontexts)
+Client::Client(trace::Registry& metrics, net::Fabric& fabric,
+               EndpointId endpoint, unsigned ncontexts)
     : fabric_(fabric), endpoint_(endpoint) {
   if (ncontexts == 0 || ncontexts > fabric.rec_fifos_per_node()) {
     throw std::invalid_argument(
@@ -447,8 +453,8 @@ Client::Client(net::Fabric& fabric, EndpointId endpoint, unsigned ncontexts)
   }
   contexts_.reserve(ncontexts);
   for (unsigned i = 0; i < ncontexts; ++i) {
-    contexts_.push_back(
-        std::make_unique<Context>(*this, static_cast<std::uint16_t>(i)));
+    contexts_.push_back(std::make_unique<Context>(
+        *this, static_cast<std::uint16_t>(i), metrics));
   }
 }
 

@@ -47,6 +47,7 @@
 #include "net/packet.hpp"
 #include "pami/reliability.hpp"
 #include "queue/l2_atomic_queue.hpp"
+#include "trace/registry.hpp"
 #include "wakeup/wakeup_unit.hpp"
 
 namespace bgq::pami {
@@ -80,9 +81,6 @@ struct SendParams {
   std::size_t metadata_bytes = 0;
   const void* payload = nullptr;
   std::size_t payload_bytes = 0;
-  /// Invoked once the payload buffer is reusable (both send flavours copy,
-  /// so this fires before the call returns — kept for API fidelity).
-  std::function<void()> local_done;
   /// Causal trace id carried through to the packet (0 = untraced).
   std::uint64_t cid = 0;
   /// Skip the reliability layer even when the client enabled it: the
@@ -100,7 +98,8 @@ class Context {
   /// network packet's worth of immediate data).
   static constexpr std::size_t kImmediateMax = 128;
 
-  Context(Client& client, std::uint16_t index);
+  /// Takes this context's reliability counters from `metrics`.
+  Context(Client& client, std::uint16_t index, trace::Registry& metrics);
   ~Context();
 
   Context(const Context&) = delete;
@@ -110,7 +109,8 @@ class Context {
   Client& client() noexcept { return client_; }
 
   /// Short-message send: payload+metadata copied into a single descriptor.
-  /// Requires metadata_bytes + payload_bytes <= kImmediateMax.
+  /// Requires metadata_bytes + payload_bytes <= kImmediateMax.  Both send
+  /// flavours copy, so the payload buffer is reusable on return.
   void send_immediate(const SendParams& p);
 
   /// General eager send (two descriptors: metadata, payload).  Any size.
@@ -194,29 +194,6 @@ class Context {
   /// binds the gate its servicing thread parks on (nullptr unbinds).
   void bind_gate(wakeup::WaitGate* g);
 
-  // ---- statistics --------------------------------------------------------
-  std::uint64_t sends() const noexcept { return sends_; }
-  std::uint64_t immediate_sends() const noexcept { return imm_sends_; }
-  std::uint64_t receives() const noexcept { return recvs_; }
-  std::uint64_t work_executed() const noexcept { return work_done_; }
-
-  // Reliability-protocol counters (all zero unless the client enabled
-  // reliability; see pami/reliability.hpp).
-  std::uint64_t retransmits() const noexcept {
-    return retransmits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dup_acks() const noexcept { return dup_acks_; }
-  std::uint64_t piggybacked_acks() const noexcept { return acks_piggy_; }
-  std::uint64_t standalone_acks() const noexcept { return acks_alone_; }
-  std::uint64_t corrupt_drops() const noexcept { return corrupt_; }
-  std::uint64_t dedup_drops() const noexcept { return dedup_; }
-  std::uint64_t backpressure_stalls() const noexcept { return stalls_; }
-  /// Dedup-table entries aged out past the sliding seq horizon.
-  std::uint64_t dedup_evictions() const noexcept { return dedup_evicted_; }
-  /// Unacked/backlogged packets culled because their peer died (instead
-  /// of retrying into a blackhole until retries exhausted).
-  std::uint64_t dead_peer_drops() const noexcept { return dead_drops_; }
-
   // Point-in-time queue depths (advisory off the advancing thread; the
   // hang watchdog reads them for its diagnostic dump).
   std::size_t outstanding() const noexcept {
@@ -255,9 +232,9 @@ class Context {
 
   net::ReceptionFifo& fifo();
   void process(net::Packet* p);
-  /// The one body of send and send_immediate: fill a packet from `p`,
-  /// inject it (through the reliability layer when armed), count it.
-  void submit(const SendParams& p, std::uint64_t& counter);
+  /// The one body of send and send_immediate: fill a packet from `p` and
+  /// inject it (through the reliability layer when armed).
+  void submit(const SendParams& p);
 
   // Reliability internals (pami.cpp); all run on the advancing thread.
   Channel& channel(EndpointId ep, std::uint16_t ctx);
@@ -288,25 +265,19 @@ class Context {
   std::atomic<std::size_t> backlog_count_{0};  // == backlog_.size()
   std::size_t owed_total_ = 0;        // owed acks across channels
 
-  // Stats are written only by the threads owning the respective path; they
-  // are plain counters read for reporting.
-  std::uint64_t sends_ = 0;
-  std::uint64_t imm_sends_ = 0;
-  std::uint64_t recvs_ = 0;
-  std::uint64_t work_done_ = 0;
-  // Written only by the advancing thread, but read by the hang
-  // watchdog's diagnostic dump from the monitor thread — relaxed
-  // atomics keep those point-in-time reads defined (same cost as a
-  // plain store on the owning thread).
-  std::atomic<std::uint64_t> retransmits_{0};
-  std::uint64_t dup_acks_ = 0;
-  std::uint64_t acks_piggy_ = 0;
-  std::uint64_t acks_alone_ = 0;
-  std::uint64_t corrupt_ = 0;
-  std::uint64_t dedup_ = 0;
-  std::uint64_t stalls_ = 0;
-  std::uint64_t dedup_evicted_ = 0;
-  std::uint64_t dead_drops_ = 0;
+  // Reliability-protocol counters (net.* cells; all zero unless the
+  // client enabled reliability).  Written by the advancing thread; the
+  // hang watchdog's dump reads the totals mid-run.
+  trace::Cell& retransmits_;
+  trace::Cell& dup_acks_;     ///< acks for an already-acked seq
+  trace::Cell& acks_piggy_;
+  trace::Cell& acks_alone_;
+  trace::Cell& corrupt_;
+  trace::Cell& dedup_;
+  trace::Cell& stalls_;       ///< sends queued behind a full window
+  trace::Cell& dedup_evicted_;  ///< dedup entries aged past the horizon
+  /// Unacked/backlogged packets culled because their peer died.
+  trace::Cell& dead_drops_;
 };
 
 /// One PAMI client per process (endpoint); owns the contexts and the
@@ -315,7 +286,9 @@ class Client {
  public:
   static constexpr std::size_t kMaxDispatch = 256;
 
-  Client(net::Fabric& fabric, EndpointId endpoint, unsigned ncontexts);
+  /// Its contexts count into `metrics`.
+  Client(trace::Registry& metrics, net::Fabric& fabric, EndpointId endpoint,
+         unsigned ncontexts);
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;

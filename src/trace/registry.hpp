@@ -1,16 +1,23 @@
-// Process-wide counter/gauge registry — the replacement for the PeStats
-// fields that used to be scattered through the machine layer.
+// Process-wide counter registry: the one store every runtime counter
+// lives in, and the source of Machine::metrics_report().
 //
-// Names are interned once (setup path, mutex) into dense ids; each traced
-// thread of execution owns a *shard*, a plain array of cells indexed by
-// id.  Hot-path increments are one non-atomic add on the owning shard —
-// exactly the cost of the old `++stats_.messages_executed` — and totals
-// are summed across shards at report time.  Like the PeStats they
-// replace, totals are exact at quiesce (after Machine::run returns) and
-// advisory while threads are live.
+// Two storage kinds, one namespace of names:
 //
-// Gauges are process-wide point-in-time values (pool occupancy, comm
-// sweeps) written at report time by whoever owns the source counter.
+//   * shard counters — each traced thread of execution owns a *shard*, a
+//     plain array of counts indexed by interned id.  Hot-path increments
+//     are one non-atomic add on the owning shard (the per-PE `pe.*` and
+//     `tram.*` counters); totals are exact at quiesce (after Machine::run
+//     returns) and advisory while threads are live;
+//   * shared cells — a component takes a Cell per counter when it is
+//     built (`cell(name)`) and holds it by reference.  A cell is a relaxed
+//     atomic on a line of its own, so any thread may add to or set it and
+//     any thread may read it while the job runs.  A value its owner sets
+//     (a gauge: resident checkpoint bytes, a ring's high-water mark) is a
+//     cell too.
+//
+// A name reports the sum of every shard counter and cell under it, so a
+// component with one cell per context, per FIFO or per thread slot needs
+// no gathering code: the report is a snapshot.
 //
 // Naming scheme: lowercase dotted `<subsystem>.<object>.<metric>`, e.g.
 // `pe.msgs.executed`, `pe.sends.network`, `alloc.pool.hits`,
@@ -19,7 +26,9 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,11 +36,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/cacheline.hpp"
 #include "trace/histogram.hpp"
 
 namespace bgq::trace {
 
-/// A flat, name-sorted snapshot of every counter and gauge.
+/// A flat, name-sorted snapshot of every counter.
 struct Report {
   std::vector<std::pair<std::string, std::uint64_t>> entries;
 
@@ -50,21 +60,41 @@ struct Report {
   }
 };
 
+/// One shared counter: owned by a Registry, held by reference by the
+/// component that counts into it.  Relaxed atomic operations from any
+/// thread; alone on its L2 line, so writers on different threads never
+/// share one.
+class alignas(kL2Line) Cell {
+ public:
+  void add(std::uint64_t v = 1) noexcept {
+    v_.fetch_add(v, std::memory_order_relaxed);
+  }
+  void set(std::uint64_t v) noexcept {
+    v_.store(v, std::memory_order_relaxed);
+  }
+  std::uint64_t get() const noexcept {
+    return v_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
+};
+
 class Registry {
  public:
   using Id = std::size_t;
 
-  /// One thread's block of counter cells and histogram instances.
+  /// One thread's block of counts and histogram instances.
   /// add()/get()/record() are owner-thread operations; the registry reads
   /// them only at report time.
   class Shard {
    public:
     void add(Id id, std::uint64_t v = 1) noexcept {
-      if (id >= cells_.size()) cells_.resize(id + 1, 0);
-      cells_[id] += v;
+      if (id >= counts_.size()) counts_.resize(id + 1, 0);
+      counts_[id] += v;
     }
     std::uint64_t get(Id id) const noexcept {
-      return id < cells_.size() ? cells_[id] : 0;
+      return id < counts_.size() ? counts_[id] : 0;
     }
     /// Record one sample into this shard's instance of histogram `id`
     /// (an id from intern_hist, not intern).
@@ -82,10 +112,10 @@ class Registry {
     explicit Shard(std::string label, std::size_t reserve,
                    std::size_t hist_reserve)
         : label_(std::move(label)),
-          cells_(reserve, 0),
+          counts_(reserve, 0),
           hists_(hist_reserve) {}
     std::string label_;
-    std::vector<std::uint64_t> cells_;
+    std::vector<std::uint64_t> counts_;
     std::vector<Histogram> hists_;
   };
 
@@ -94,14 +124,20 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// Intern `name` into a dense id (idempotent; thread-safe).  Intern all
-  /// counters before creating shards so cells never grow on a hot path.
+  /// shard counters before creating shards so their arrays never grow on
+  /// a hot path.
   Id intern(std::string_view name) {
     std::lock_guard<std::mutex> g(mu_);
-    for (Id i = 0; i < names_.size(); ++i) {
-      if (names_[i] == name) return i;
-    }
-    names_.emplace_back(name);
-    return names_.size() - 1;
+    return intern_locked(name);
+  }
+
+  /// A new zeroed cell reported under `name` (interned if new).  The
+  /// registry owns it until it is destroyed: take cells when a component
+  /// is built, never on a hot path.  Thread-safe.
+  Cell& cell(std::string_view name) {
+    std::lock_guard<std::mutex> g(mu_);
+    cell_ids_.push_back(intern_locked(name));
+    return cells_.emplace_back();  // a deque never moves its elements
   }
 
   /// Intern a histogram name into its own dense id space (idempotent;
@@ -169,61 +205,37 @@ class Registry {
     return out;
   }
 
-  /// Set a process-wide gauge (report-time writers; thread-safe).
-  void set_gauge(std::string_view name, std::uint64_t v) {
-    std::lock_guard<std::mutex> g(mu_);
-    for (auto& [k, old] : gauges_) {
-      if (k == name) {
-        old = v;
-        return;
-      }
-    }
-    gauges_.emplace_back(std::string(name), v);
-  }
-
-  /// Sum of `name` across all shards, plus its gauge if set.
+  /// Sum of `name` over its shard counters and cells.  Cells read
+  /// exactly at any time; shard counters are advisory while their owner
+  /// threads run.
   std::uint64_t total(std::string_view name) const {
     std::lock_guard<std::mutex> g(mu_);
-    return total_locked(name);
+    for (Id i = 0; i < names_.size(); ++i) {
+      if (names_[i] == name) return epoch_adjust(i, sum_locked(i));
+    }
+    return 0;
   }
 
-  /// Start a new reporting epoch: every counter and gauge value reported
-  /// from now on is relative to this instant (clamped at zero), so
-  /// post-restart `ft.*`/`net.*` traffic isn't conflated with pre-crash
-  /// totals.  Shard cells are NOT touched — owner threads keep their
-  /// plain non-atomic increments; only the report-time view shifts.
-  /// Callable any time; best called at a quiescent point (recovery
-  /// barrier) so the baseline is exact.
+  /// Start a new reporting epoch: every value reported from now on is
+  /// relative to this instant (clamped at zero), so post-restart
+  /// `ft.*`/`net.*` traffic isn't conflated with pre-crash totals.
+  /// Neither shards nor cells are touched — writers keep counting; only
+  /// the report-time view shifts.  Callable any time; best called at a
+  /// quiescent point (recovery barrier) so the baseline is exact.
   void reset_epoch() {
     std::lock_guard<std::mutex> g(mu_);
-    base_.assign(names_.size(), 0);
-    for (Id i = 0; i < names_.size(); ++i) {
-      for (const auto& s : shards_) base_[i] += s->get(i);
-    }
-    gauge_base_ = gauges_;
+    base_.resize(names_.size());
+    for (Id i = 0; i < names_.size(); ++i) base_[i] = sum_locked(i);
   }
 
-  /// Every counter (summed over shards) and gauge, sorted by name —
-  /// relative to the last reset_epoch(), if any.
+  /// Every name with the sum of its shard counters and cells, sorted by
+  /// name — relative to the last reset_epoch(), if any.
   Report report() const {
     std::lock_guard<std::mutex> g(mu_);
     Report r;
+    r.entries.reserve(names_.size());
     for (Id i = 0; i < names_.size(); ++i) {
-      std::uint64_t sum = 0;
-      for (const auto& s : shards_) sum += s->get(i);
-      r.entries.emplace_back(names_[i], epoch_adjust(i, sum));
-    }
-    for (const auto& [k, v] : gauges_) {
-      const std::uint64_t gv = gauge_adjust(k, v);
-      bool merged = false;
-      for (auto& [rk, rv] : r.entries) {
-        if (rk == k) {
-          rv += gv;
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) r.entries.emplace_back(k, gv);
+      r.entries.emplace_back(names_[i], epoch_adjust(i, sum_locked(i)));
     }
     std::sort(r.entries.begin(), r.entries.end());
     return r;
@@ -235,44 +247,39 @@ class Registry {
   }
 
  private:
-  /// Counter `i`'s raw cross-shard sum shifted to the current epoch.
+  Id intern_locked(std::string_view name) {
+    // Newest first: a component's cells repeat the names its first
+    // instance just interned.
+    for (Id i = names_.size(); i-- > 0;) {
+      if (names_[i] == name) return i;
+    }
+    names_.emplace_back(name);
+    return names_.size() - 1;
+  }
+
+  /// Raw sum of name `i` over every shard and cell.
+  std::uint64_t sum_locked(Id i) const noexcept {
+    std::uint64_t sum = 0;
+    for (const auto& s : shards_) sum += s->get(i);
+    for (std::size_t c = 0; c < cells_.size(); ++c) {
+      if (cell_ids_[c] == i) sum += cells_[c].get();
+    }
+    return sum;
+  }
+
+  /// Name `i`'s raw sum shifted to the current epoch.
   std::uint64_t epoch_adjust(Id i, std::uint64_t sum) const noexcept {
     const std::uint64_t b = i < base_.size() ? base_[i] : 0;
     return sum > b ? sum - b : 0;
-  }
-  std::uint64_t gauge_adjust(std::string_view name,
-                             std::uint64_t v) const noexcept {
-    for (const auto& [k, b] : gauge_base_) {
-      if (k == name) return v > b ? v - b : 0;
-    }
-    return v;
-  }
-
-  std::uint64_t total_locked(std::string_view name) const {
-    for (Id i = 0; i < names_.size(); ++i) {
-      if (names_[i] == name) {
-        std::uint64_t sum = 0;
-        for (const auto& s : shards_) sum += s->get(i);
-        sum = epoch_adjust(i, sum);
-        for (const auto& [k, v] : gauges_) {
-          if (k == name) sum += gauge_adjust(k, v);
-        }
-        return sum;
-      }
-    }
-    for (const auto& [k, v] : gauges_) {
-      if (k == name) return gauge_adjust(k, v);
-    }
-    return 0;
   }
 
   mutable std::mutex mu_;
   std::vector<std::string> names_;
   std::vector<std::string> hist_names_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::pair<std::string, std::uint64_t>> gauges_;
-  std::vector<std::uint64_t> base_;  // per-counter epoch baselines
-  std::vector<std::pair<std::string, std::uint64_t>> gauge_base_;
+  std::deque<Cell> cells_;
+  std::vector<Id> cell_ids_;  // cells_[c] reports under names_[cell_ids_[c]]
+  std::vector<std::uint64_t> base_;  // per-name epoch baselines
 
   static thread_local Shard* tls_shard_;
 };

@@ -47,8 +47,8 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
                   std::atomic<std::uint32_t>::is_always_lock_free,
               "shared-segment atomics must be address-free");
 
-ShmTransport::ShmTransport(const Config& cfg)
-    : Transport(cfg.nprocs), rank_(cfg.rank), nprocs_(cfg.nprocs) {
+ShmTransport::ShmTransport(trace::Registry& metrics, const Config& cfg)
+    : Transport(metrics, cfg.nprocs), rank_(cfg.rank), nprocs_(cfg.nprocs) {
   if (nprocs_ > kMaxShmEndpoints) {
     throw std::runtime_error("shm transport: nprocs > " +
                              std::to_string(kMaxShmEndpoints));
@@ -191,7 +191,7 @@ void ShmTransport::push_frame(unsigned dst, const std::byte* frame,
   while (!tx_[dst].try_push(frame, bytes)) {
     if (!counted_full) {
       // The rank's drainers may be busy: its poller makes the room.
-      counters_.ring_full.fetch_add(1, std::memory_order_relaxed);
+      ring_full_.add();
       counted_full = true;
       bell.gate.wake();
       note_wake();
@@ -208,12 +208,7 @@ void ShmTransport::push_frame(unsigned dst, const std::byte* frame,
   // Ctrl frames always wake the poller: the machine layer's services
   // must not wait for a worker to finish its handler.
   if (bell.notify(/*force=*/ctrl)) note_wake();
-  counters_.bytes_out.fetch_add(bytes, std::memory_order_relaxed);
-  if (ctrl) {
-    counters_.ctrl_out.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.injects.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!ctrl) injects_.add();
 }
 
 void ShmTransport::inject(net::Packet* p) {
@@ -247,8 +242,6 @@ std::size_t ShmTransport::drain_ring(unsigned src) {
       throw wire::FrameError("shm transport: frame length " +
                              std::to_string(n) + " out of range");
     }
-    counters_.frames_in.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_in.fetch_add(n, std::memory_order_relaxed);
     ++frames;
     // try_push publishes whole frames, so a readable prefix implies a
     // readable frame; a short peek below is corruption, not a race.
@@ -279,7 +272,7 @@ std::size_t ShmTransport::drain_ring(unsigned src) {
 std::size_t ShmTransport::poll() {
   std::unique_lock<std::mutex> lock(poll_mu_, std::try_to_lock);
   if (!lock.owns_lock()) return 0;
-  counters_.polls.fetch_add(1, std::memory_order_relaxed);
+  polls_.add();
   std::size_t frames = 0;
   for (unsigned i = 0; i < nprocs_; ++i) {
     if (i == rank_ || rx_closed_[i].load(std::memory_order_relaxed)) continue;
@@ -304,9 +297,7 @@ bool ShmTransport::frames_waiting() const noexcept {
   return false;
 }
 
-void ShmTransport::note_wake() noexcept {
-  counters_.doorbell_wakes.fetch_add(1, std::memory_order_relaxed);
-}
+void ShmTransport::note_wake() noexcept { doorbell_wakes_.add(); }
 
 void ShmTransport::join_drainers() noexcept { hdr_->bells[rank_].join(); }
 

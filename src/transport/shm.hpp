@@ -44,7 +44,7 @@ class ShmTransport final : public Transport {
  public:
   /// Attaches (rank != 0) or creates (rank 0) the session's segment.
   /// Throws std::runtime_error on shm/mmap failure or attach timeout.
-  explicit ShmTransport(const Config& cfg);
+  ShmTransport(trace::Registry& metrics, const Config& cfg);
   ~ShmTransport() override;
 
   Kind kind() const noexcept override { return Kind::kShm; }

@@ -63,8 +63,11 @@ std::string SocketTransport::uds_path(unsigned rank) const {
          ".sock";
 }
 
-SocketTransport::SocketTransport(const Config& cfg)
-    : Transport(cfg.nprocs), cfg_(cfg), rank_(cfg.rank), nprocs_(cfg.nprocs) {
+SocketTransport::SocketTransport(trace::Registry& metrics, const Config& cfg)
+    : Transport(metrics, cfg.nprocs),
+      cfg_(cfg),
+      rank_(cfg.rank),
+      nprocs_(cfg.nprocs) {
   peers_.resize(nprocs_);
   for (auto& p : peers_) p.write_mu = std::make_unique<std::mutex>();
 
@@ -152,7 +155,7 @@ void SocketTransport::connect_to(unsigned peer) {
       }
       ::close(fd);
     }
-    counters_.reconnects.fetch_add(1, std::memory_order_relaxed);
+    reconnects_.add();
     if (std::chrono::steady_clock::now() > deadline) {
       throw std::runtime_error("socket transport: rank " +
                                std::to_string(rank_) +
@@ -213,12 +216,7 @@ void SocketTransport::send_frame(unsigned dst, const std::byte* frame,
     note_blackholed();
     return;
   }
-  counters_.bytes_out.fetch_add(bytes, std::memory_order_relaxed);
-  if (ctrl) {
-    counters_.ctrl_out.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.injects.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!ctrl) injects_.add();
 }
 
 void SocketTransport::inject(net::Packet* p) {
@@ -255,7 +253,6 @@ std::size_t SocketTransport::parse_frames(unsigned src) {
     // Nothing is allocated for a frame until all of it has arrived, so
     // a hostile length costs at most the bytes actually received.
     if (peer.rxbuf.size() - off < n) break;  // partial frame
-    counters_.frames_in.fetch_add(1, std::memory_order_relaxed);
     ++frames;
     if (wire::frame_type(h) != wire::kFrameCtrl) {
       // The sink (fabric) stamps the origin's liveness on delivery.
@@ -285,8 +282,6 @@ std::size_t SocketTransport::drain_peer(unsigned src) {
   for (;;) {
     const ssize_t r = ::recv(peer.fd, chunk, sizeof chunk, MSG_DONTWAIT);
     if (r > 0) {
-      counters_.bytes_in.fetch_add(static_cast<std::uint64_t>(r),
-                                   std::memory_order_relaxed);
       peer.rxbuf.insert(peer.rxbuf.end(), chunk, chunk + r);
       continue;
     }
@@ -303,7 +298,7 @@ std::size_t SocketTransport::drain_peer(unsigned src) {
 std::size_t SocketTransport::poll() {
   std::unique_lock<std::mutex> lock(poll_mu_, std::try_to_lock);
   if (!lock.owns_lock()) return 0;
-  counters_.polls.fetch_add(1, std::memory_order_relaxed);
+  polls_.add();
   if (liveness_enabled()) touch_liveness(rank_, now_ns());
   std::size_t frames = 0;
   for (unsigned i = 0; i < nprocs_; ++i) {

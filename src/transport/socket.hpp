@@ -33,7 +33,7 @@ class SocketTransport final : public Transport {
  public:
   /// Binds, connects the mesh and completes the hello handshake; throws
   /// std::runtime_error if any peer cannot be reached within the window.
-  explicit SocketTransport(const Config& cfg);
+  SocketTransport(trace::Registry& metrics, const Config& cfg);
   ~SocketTransport() override;
 
   Kind kind() const noexcept override { return Kind::kSocket; }

@@ -24,7 +24,8 @@
 //     a socket job learns liveness from frame arrivals), so they live
 //     here and the fabric forwards;
 //   * *counters*: injects/polls/ring_full/reconnects/frame_errors/
-//     doorbell_wakes, exported as net.transport.* gauges.
+//     doorbell_wakes, cells in the machine's registry under
+//     net.transport.*, and the blackhole count (net.blackholed).
 //
 // Dependency direction: this header depends only on the header-only
 // packet descriptor; backends never include fabric.hpp.  The fabric
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "trace/registry.hpp"
 #include "transport/config.hpp"
 
 namespace bgq::transport {
@@ -70,28 +72,18 @@ class DeliverySink {
 
 using CtrlHandler = std::function<void(const CtrlMsg&)>;
 
-/// Transport counters (net.transport.* gauges).  Plain atomics: writers
-/// are the injecting threads and the polling threads.
-struct Counters {
-  std::atomic<std::uint64_t> injects{0};    ///< data packets shipped out
-  std::atomic<std::uint64_t> polls{0};      ///< poll() calls
-  std::atomic<std::uint64_t> frames_in{0};  ///< data+ctrl frames received
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> ring_full{0};   ///< producer stalls on a full ring
-  std::atomic<std::uint64_t> reconnects{0};  ///< socket connect retries
-  std::atomic<std::uint64_t> ctrl_out{0};
-  std::atomic<std::uint64_t> ctrl_in{0};
-  /// Malformed frames; each one closes its peer's inbound stream.
-  std::atomic<std::uint64_t> frame_errors{0};
-  /// Doorbell rings this rank issued to wake a parked poller, a peer's or
-  /// its own (shm only; stopping the poller is not counted).
-  std::atomic<std::uint64_t> doorbell_wakes{0};
-};
-
 class Transport {
  public:
-  explicit Transport(std::size_t endpoints) : endpoints_(endpoints) {
+  /// Counts into `metrics` (net.transport.*, net.blackholed).
+  Transport(trace::Registry& metrics, std::size_t endpoints)
+      : endpoints_(endpoints),
+        injects_(metrics.cell("net.transport.injects")),
+        polls_(metrics.cell("net.transport.polls")),
+        ring_full_(metrics.cell("net.transport.ring_full")),
+        reconnects_(metrics.cell("net.transport.reconnects")),
+        frame_errors_(metrics.cell("net.transport.frame_errors")),
+        doorbell_wakes_(metrics.cell("net.transport.doorbell_wakes")),
+        blackholed_(metrics.cell("net.blackholed")) {
     dead_ = std::vector<std::atomic<bool>>(endpoints);
     last_heard_ = std::vector<std::atomic<std::uint64_t>>(endpoints);
   }
@@ -188,38 +180,39 @@ class Transport {
     last_heard_[ep].store(t, std::memory_order_release);
   }
 
-  /// Transfers swallowed because an endpoint on either side was dead.
-  std::uint64_t blackholed() const noexcept {
-    return blackholed_.load(std::memory_order_relaxed);
-  }
-  void note_blackholed() noexcept {
-    blackholed_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const Counters& counters() const noexcept { return counters_; }
+  /// Count a transfer swallowed because an endpoint on either side was
+  /// dead.
+  void note_blackholed() noexcept { blackholed_.add(); }
 
  protected:
   void handle_ctrl(const CtrlMsg& m) {
-    counters_.ctrl_in.fetch_add(1, std::memory_order_relaxed);
     if (on_ctrl_) on_ctrl_(m);
   }
 
   /// A malformed frame from `src`: count it and treat the peer as failed
   /// (the caller stops reading its stream).
   void note_frame_error(unsigned src) {
-    counters_.frame_errors.fetch_add(1, std::memory_order_relaxed);
+    frame_errors_.add();
     kill_endpoint(static_cast<topo::NodeId>(src));
   }
 
   const std::size_t endpoints_;
   DeliverySink* sink_ = nullptr;
   CtrlHandler on_ctrl_;
-  Counters counters_;
 
   std::vector<std::atomic<bool>> dead_;
   std::vector<std::atomic<std::uint64_t>> last_heard_;
   std::atomic<bool> liveness_{false};
-  std::atomic<std::uint64_t> blackholed_{0};
+
+  trace::Cell& injects_;         ///< data packets shipped out
+  trace::Cell& polls_;           ///< poll() calls
+  trace::Cell& ring_full_;       ///< producer stalls on a full ring
+  trace::Cell& reconnects_;      ///< socket connect retries
+  trace::Cell& frame_errors_;    ///< malformed frames; each closes a peer
+  /// Doorbell rings this rank issued to wake a parked poller, a peer's or
+  /// its own (shm only; stopping the poller is not counted).
+  trace::Cell& doorbell_wakes_;
+  trace::Cell& blackholed_;
 };
 
 /// The in-process "transport": every endpoint is local, so the data and
@@ -228,7 +221,8 @@ class Transport {
 /// default the refactored fabric is bit-identical to the old one.
 class InProcTransport final : public Transport {
  public:
-  explicit InProcTransport(std::size_t endpoints) : Transport(endpoints) {}
+  InProcTransport(trace::Registry& metrics, std::size_t endpoints)
+      : Transport(metrics, endpoints) {}
 
   Kind kind() const noexcept override { return Kind::kInProc; }
   bool endpoint_local(topo::NodeId) const noexcept override { return true; }
@@ -239,7 +233,7 @@ class InProcTransport final : public Transport {
         "InProcTransport::inject: every endpoint is local");
   }
   std::size_t poll() override {
-    counters_.polls.fetch_add(1, std::memory_order_relaxed);
+    polls_.add();
     return 0;
   }
 };

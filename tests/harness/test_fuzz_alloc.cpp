@@ -55,7 +55,8 @@ struct AllocFuzzOutcome {
 /// cross-thread (the lockless enqueue into thread 0's pool).  Thread 0
 /// then re-allocates so pool reuse races against the remote frees.
 AllocFuzzOutcome fuzz_alloc_once(const AllocFuzzConfig& cfg) {
-  PoolAllocator pa(/*nthreads=*/2, cfg.pool_slots);
+  bgq::trace::Registry metrics;
+  PoolAllocator pa(metrics, /*nthreads=*/2, cfg.pool_slots);
   History h(256);
   std::vector<std::atomic<void*>> mailbox(cfg.handoffs);
   for (auto& m : mailbox) m.store(nullptr, std::memory_order_relaxed);
@@ -137,16 +138,15 @@ TEST(FuzzAlloc, PoolReuseIsExercised) {
   // Sanity that the fuzz scenario actually drives the pool fast path (not
   // just heap fallbacks): across a batch of schedules the allocator must
   // report pool hits.  Uses the instrumented allocator directly.
-  std::uint64_t hits = 0;
+  bgq::trace::Registry metrics;
   for (std::uint64_t i = 0; i < 50; ++i) {
-    PoolAllocator pa(2, 4);
+    PoolAllocator pa(metrics, 2, 4);
     void* a = pa.allocate(0, 64);
     pa.deallocate(0, a);
     void* b = pa.allocate(0, 64);
     pa.deallocate(0, b);
-    hits += pa.pool_hits();
   }
-  EXPECT_GT(hits, 0u);
+  EXPECT_GT(metrics.total("alloc.pool.hits"), 0u);
 }
 
 TEST(FuzzAlloc, ExhaustiveSmallBoundPoolAllocator) {

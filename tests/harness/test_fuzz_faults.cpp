@@ -57,14 +57,15 @@ struct FuzzOutcome {
 /// and every retransmit timer drained.
 FuzzOutcome fuzz_once(std::uint64_t seed, const std::string& plan_spec,
                       std::size_t fifo_capacity) {
+  bgq::trace::Registry metrics;
   Torus torus{{2}};
-  Fabric fabric{torus, NetworkParams{}, /*fifos=*/2, /*endpoints=*/1,
-                fifo_capacity};
+  Fabric fabric{metrics, torus, NetworkParams{}, /*fifos=*/2,
+                /*endpoints=*/1, fifo_capacity};
   fabric.set_fault_plan(
       FaultPlan::parse(plan_spec + ",seed=" + std::to_string(seed)));
 
-  Client a{fabric, 0, 2};
-  Client b{fabric, 1, 2};
+  Client a{metrics, fabric, 0, 2};
+  Client b{metrics, fabric, 1, 2};
   ReliabilityParams rp;
   rp.rto_ns = 100'000;  // serialized token-passing is slow; keep retries sane
   rp.rto_max_ns = 5'000'000;
@@ -133,9 +134,8 @@ FuzzOutcome fuzz_once(std::uint64_t seed, const std::string& plan_spec,
   out.run = bgq::harness::run_schedule(
       ro, {[&] { body(0, a.context(0), out.got_a); },
            [&] { body(1, b.context(0), out.got_b); }});
-  out.retransmits =
-      a.context(0).retransmits() + b.context(0).retransmits();
-  out.dedup_drops = a.context(0).dedup_drops() + b.context(0).dedup_drops();
+  out.retransmits = metrics.total("net.retransmits");
+  out.dedup_drops = metrics.total("net.dedup_drops");
   return out;
 }
 

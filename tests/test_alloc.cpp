@@ -10,23 +10,31 @@
 
 #include "alloc/arena_allocator.hpp"
 #include "alloc/pool_allocator.hpp"
+#include "trace/registry.hpp"
 
 namespace {
 
 using bgq::alloc::ArenaAllocator;
 using bgq::alloc::IAllocator;
 using bgq::alloc::PoolAllocator;
+using bgq::trace::Registry;
 
 // Both allocators must satisfy the same contract; run the shared suite
 // against each.
 enum class Kind { kArena, kPool };
 
-std::unique_ptr<IAllocator> make(Kind k, unsigned nthreads) {
-  if (k == Kind::kArena) return std::make_unique<ArenaAllocator>(nthreads);
-  return std::make_unique<PoolAllocator>(nthreads);
-}
+class AllocatorContract : public ::testing::TestWithParam<Kind> {
+ protected:
+  std::unique_ptr<IAllocator> make(Kind k, unsigned nthreads) {
+    if (k == Kind::kArena) {
+      return std::make_unique<ArenaAllocator>(metrics_, nthreads);
+    }
+    return std::make_unique<PoolAllocator>(metrics_, nthreads);
+  }
 
-class AllocatorContract : public ::testing::TestWithParam<Kind> {};
+ private:
+  Registry metrics_;
+};
 
 TEST_P(AllocatorContract, AllocateGivesWritableAlignedMemory) {
   auto a = make(GetParam(), 4);
@@ -132,54 +140,61 @@ INSTANTIATE_TEST_SUITE_P(Allocators, AllocatorContract,
                          });
 
 TEST(PoolAllocator, SecondAllocComesFromPool) {
-  PoolAllocator a(1);
+  Registry metrics;
+  PoolAllocator a(metrics, 1);
   void* p1 = a.allocate(0, 256);
   a.deallocate(0, p1);
-  EXPECT_EQ(a.pool_hits(), 0u);
+  EXPECT_EQ(metrics.total("alloc.pool.hits"), 0u);
   void* p2 = a.allocate(0, 256);
-  EXPECT_EQ(a.pool_hits(), 1u);
+  EXPECT_EQ(metrics.total("alloc.pool.hits"), 1u);
   EXPECT_EQ(p1, p2) << "pool should return the pooled buffer";
   a.deallocate(0, p2);
 }
 
 TEST(PoolAllocator, FreeBeyondThresholdSpillsToHeap) {
-  PoolAllocator a(1, /*pool_slots=*/4);
+  Registry metrics;
+  PoolAllocator a(metrics, 1, /*pool_slots=*/4);
   std::vector<void*> bufs;
   for (int i = 0; i < 10; ++i) bufs.push_back(a.allocate(0, 64));
   for (void* p : bufs) a.deallocate(0, p);
-  EXPECT_GE(a.heap_frees(), 6u) << "only 4 slots fit in the pool";
+  EXPECT_GE(metrics.total("alloc.heap.frees"), 6u)
+      << "only 4 slots fit in the pool";
 }
 
 TEST(PoolAllocator, HugeBuffersBypassPools) {
-  PoolAllocator a(1);
+  Registry metrics;
+  PoolAllocator a(metrics, 1);
   void* p = a.allocate(0, 1 << 20);
   a.deallocate(0, p);
   void* p2 = a.allocate(0, 1 << 20);
   a.deallocate(0, p2);
-  EXPECT_EQ(a.pool_hits(), 0u);
+  EXPECT_EQ(metrics.total("alloc.pool.hits"), 0u);
 }
 
 TEST(PoolAllocator, DoubleFreeDetected) {
-  PoolAllocator a(1, 16);
+  Registry metrics;
+  PoolAllocator a(metrics, 1, 16);
   void* p = a.allocate(0, 64);
   a.deallocate(0, p);
   EXPECT_THROW(a.deallocate(0, p), std::logic_error);
 }
 
 TEST(PoolAllocator, CrossThreadFreeReturnsBufferToOwnerPool) {
-  PoolAllocator a(2);
+  Registry metrics;
+  PoolAllocator a(metrics, 2);
   void* p = a.allocate(0, 128);      // owned by thread 0
   a.deallocate(1, p);                // freed by thread 1
   void* p2 = a.allocate(0, 128);     // thread 0 allocates again
   EXPECT_EQ(p, p2) << "buffer must return to the creating thread's pool";
-  EXPECT_EQ(a.pool_hits(), 1u);
+  EXPECT_EQ(metrics.total("alloc.pool.hits"), 1u);
   a.deallocate(0, p2);
 }
 
 TEST(ArenaAllocator, DefaultArenaCountScalesDown) {
-  ArenaAllocator a(16);
+  Registry metrics;
+  ArenaAllocator a(metrics, 16);
   EXPECT_EQ(a.arena_count(), 4u);  // one arena per four threads
-  ArenaAllocator b(2);
+  ArenaAllocator b(metrics, 2);
   EXPECT_EQ(b.arena_count(), 1u);
 }
 
@@ -187,8 +202,9 @@ TEST(ArenaAllocator, ContentionCounterMovesUnderPressure) {
   // Many threads freeing into one arena must record contention events —
   // the effect Fig. 6 quantifies.  (Timesharing hosts may serialize
   // perfectly, so only assert the counter is readable and monotone.)
-  ArenaAllocator a(8, /*narenas=*/1);
-  const auto before = a.contention_events();
+  Registry metrics;
+  ArenaAllocator a(metrics, 8, /*narenas=*/1);
+  const auto before = metrics.total("alloc.arena.contention");
   std::vector<void*> bufs;
   for (int i = 0; i < 64; ++i) bufs.push_back(a.allocate(0, 256));
   std::vector<std::thread> ts;
@@ -203,15 +219,17 @@ TEST(ArenaAllocator, ContentionCounterMovesUnderPressure) {
     });
   }
   for (auto& t : ts) t.join();
-  EXPECT_GE(a.contention_events(), before);
+  EXPECT_GE(metrics.total("alloc.arena.contention"), before);
 }
 
 TEST(ArenaAllocator, RejectsZeroThreads) {
-  EXPECT_THROW(ArenaAllocator(0), std::invalid_argument);
+  Registry metrics;
+  EXPECT_THROW(ArenaAllocator(metrics, 0), std::invalid_argument);
 }
 
 TEST(PoolAllocator, RejectsZeroThreads) {
-  EXPECT_THROW(PoolAllocator(0), std::invalid_argument);
+  Registry metrics;
+  EXPECT_THROW(PoolAllocator(metrics, 0), std::invalid_argument);
 }
 
 }  // namespace

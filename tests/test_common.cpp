@@ -6,7 +6,6 @@
 
 #include "common/cacheline.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 
@@ -88,23 +87,6 @@ TEST(Rng, GaussianMomentsRoughlyStandard) {
   }
   EXPECT_NEAR(sum / kN, 0.0, 0.02);
   EXPECT_NEAR(sq / kN, 1.0, 0.03);
-}
-
-TEST(Stats, SampleSetPercentiles) {
-  bgq::SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 1e-9);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-}
-
-TEST(Stats, EmptySetsAreSafe) {
-  bgq::SampleSet s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.median(), 0.0);
 }
 
 TEST(Timing, TimerMeasuresForwardTime) {

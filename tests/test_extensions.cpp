@@ -1,18 +1,16 @@
-// Tests for the §VII future-work extensions: topology-aware placement
-// and the prioritized scheduler queue, plus the spin/backoff helpers.
+// Tests for the §VII future-work extension of topology-aware placement,
+// plus the spin/backoff helpers.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
 
 #include "common/spin.hpp"
-#include "queue/priority_queue.hpp"
 #include "topology/placement.hpp"
 #include "topology/torus.hpp"
 
 namespace {
 
-using bgq::queue::PriorityMsgQueue;
 using bgq::topo::map_grid;
 using bgq::topo::neighbor_hops;
 using bgq::topo::NodeId;
@@ -73,63 +71,6 @@ TEST(Placement, RejectsOversizedGrid) {
   Torus t = Torus::bgq_partition(64);
   EXPECT_THROW(map_grid(t, 16, 16, Placement::kLinear),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Priority queue
-// ---------------------------------------------------------------------------
-
-std::uint64_t* tag(std::uint64_t v) {
-  return reinterpret_cast<std::uint64_t*>(v + 1);
-}
-std::uint64_t untag(std::uint64_t* p) {
-  return reinterpret_cast<std::uint64_t>(p) - 1;
-}
-
-TEST(PriorityMsgQueue, StrictPriorityOrder) {
-  PriorityMsgQueue<std::uint64_t*> q;
-  q.enqueue(tag(10), 5);
-  q.enqueue(tag(20), -3);  // most urgent
-  q.enqueue(tag(30), 0);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.top_priority(), -3);
-  EXPECT_EQ(untag(q.try_dequeue()), 20u);
-  EXPECT_EQ(untag(q.try_dequeue()), 30u);
-  EXPECT_EQ(untag(q.try_dequeue()), 10u);
-  EXPECT_EQ(q.try_dequeue(), nullptr);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(PriorityMsgQueue, FifoWithinPriorityClass) {
-  PriorityMsgQueue<std::uint64_t*> q;
-  for (std::uint64_t i = 0; i < 10; ++i) q.enqueue(tag(i), 7);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(untag(q.try_dequeue()), i);
-  }
-}
-
-TEST(PriorityMsgQueue, InterleavedOperations) {
-  PriorityMsgQueue<std::uint64_t*> q;
-  q.enqueue(tag(1), 2);
-  q.enqueue(tag(2), 1);
-  EXPECT_EQ(untag(q.try_dequeue()), 2u);
-  q.enqueue(tag(3), 0);
-  q.enqueue(tag(4), 3);
-  EXPECT_EQ(untag(q.try_dequeue()), 3u);
-  EXPECT_EQ(untag(q.try_dequeue()), 1u);
-  EXPECT_EQ(untag(q.try_dequeue()), 4u);
-  EXPECT_EQ(q.classes(), 0u);
-}
-
-TEST(PriorityMsgQueue, ClassesTrackDistinctPriorities) {
-  PriorityMsgQueue<std::uint64_t*> q;
-  q.enqueue(tag(1), 1);
-  q.enqueue(tag(2), 1);
-  q.enqueue(tag(3), 9);
-  EXPECT_EQ(q.classes(), 2u);
-  q.try_dequeue();
-  q.try_dequeue();
-  EXPECT_EQ(q.classes(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -188,7 +188,8 @@ TEST(RegistryEpoch, ResetRebasesCountersAndGauges) {
   const auto id = reg.intern("pe.msgs.executed");
   auto* shard = reg.make_shard("pe0");
   shard->add(id, 40);
-  reg.set_gauge("ft.crashes", 2);
+  bgq::trace::Cell& crashes = reg.cell("ft.crashes");
+  crashes.set(2);
   EXPECT_EQ(reg.report().value("pe.msgs.executed"), 40u);
   EXPECT_EQ(reg.report().value("ft.crashes"), 2u);
 
@@ -198,10 +199,10 @@ TEST(RegistryEpoch, ResetRebasesCountersAndGauges) {
   EXPECT_EQ(reg.report().value("ft.crashes"), 0u);
 
   shard->add(id, 7);
-  reg.set_gauge("ft.crashes", 5);
+  crashes.set(5);
   EXPECT_EQ(reg.report().value("pe.msgs.executed"), 7u);
   EXPECT_EQ(reg.report().value("ft.crashes"), 3u)
-      << "gauge deltas are relative to their reset baseline";
+      << "cell deltas are relative to their reset baseline";
   EXPECT_EQ(reg.total("pe.msgs.executed"), 7u);
 }
 
@@ -241,7 +242,7 @@ TEST(MachineFt, KillProcessBlackholesAndBarrierSkipsTheDead) {
   EXPECT_TRUE(machine.process_dead(1));
   EXPECT_EQ(machine.lowest_live_pe(), 0u);
   EXPECT_EQ(machine.live_process_count(), 1u);
-  EXPECT_GT(machine.fabric().blackholed(), 0u);
+  EXPECT_GT(machine.metrics().total("net.blackholed"), 0u);
   const auto report = machine.metrics_report();
   EXPECT_GT(report.value("net.blackholed"), 0u);
   EXPECT_TRUE(report.has("ft.recoveries"));

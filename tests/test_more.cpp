@@ -13,6 +13,7 @@
 #include "net/params.hpp"
 #include "queue/ordered_l2_queue.hpp"
 #include "topology/torus.hpp"
+#include "trace/registry.hpp"
 
 namespace {
 
@@ -23,7 +24,8 @@ using bgq::topo::Torus;
 
 TEST(FabricEndpoints, MultipleProcessesShareANode) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, /*fifos=*/1, /*endpoints_per_node=*/4);
+  bgq::trace::Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, /*fifos=*/1, /*endpoints_per_node=*/4);
   EXPECT_EQ(f.endpoint_count(), 8u);
   EXPECT_EQ(f.node_of(0), 0u);
   EXPECT_EQ(f.node_of(3), 0u);
@@ -33,7 +35,8 @@ TEST(FabricEndpoints, MultipleProcessesShareANode) {
 
 TEST(FabricEndpoints, SameNodeLoopbackPaysOnlyBaseLatency) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1, 2);
+  bgq::trace::Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1, 2);
   auto send = [&](bgq::topo::NodeId dst) {
     Packet* p = Packet::create(0, 32);
     p->src = 0;
@@ -82,7 +85,8 @@ TEST(PoolAllocator, SteadyStateRecyclingIsAllPoolHits) {
   // The §III-B steady state: buffers freed (from another thread slot, the
   // paper's receiver-frees-sender's-buffer pattern) return to the owner's
   // pool, so subsequent allocations never touch the heap.
-  bgq::alloc::PoolAllocator a(2, 256);
+  bgq::trace::Registry metrics;
+  bgq::alloc::PoolAllocator a(metrics, 2, 256);
   constexpr int kRounds = 500;
   constexpr int kBatch = 32;
 
@@ -90,8 +94,8 @@ TEST(PoolAllocator, SteadyStateRecyclingIsAllPoolHits) {
   std::vector<void*> bufs;
   for (int i = 0; i < kBatch; ++i) bufs.push_back(a.allocate(0, 128));
   for (void* p : bufs) a.deallocate(1, p);  // cross-thread free
-  const auto heap_before = a.heap_allocs();
-  const auto hits_before = a.pool_hits();
+  const auto heap_before = metrics.total("alloc.heap.allocs");
+  const auto hits_before = metrics.total("alloc.pool.hits");
 
   for (int round = 0; round < kRounds; ++round) {
     bufs.clear();
@@ -99,9 +103,9 @@ TEST(PoolAllocator, SteadyStateRecyclingIsAllPoolHits) {
     for (void* p : bufs) a.deallocate(1, p);
   }
 
-  EXPECT_EQ(a.heap_allocs(), heap_before)
+  EXPECT_EQ(metrics.total("alloc.heap.allocs"), heap_before)
       << "steady-state allocations must come from the pool";
-  EXPECT_EQ(a.pool_hits() - hits_before,
+  EXPECT_EQ(metrics.total("alloc.pool.hits") - hits_before,
             static_cast<std::uint64_t>(kRounds) * kBatch);
 }
 

@@ -10,16 +10,17 @@
 #include "net/packet.hpp"
 #include "net/params.hpp"
 #include "topology/torus.hpp"
+#include "trace/registry.hpp"
 #include "wakeup/wakeup_unit.hpp"
 
 namespace {
 
 using bgq::net::Fabric;
-using bgq::net::MemRegion;
 using bgq::net::NetworkParams;
 using bgq::net::Packet;
 using bgq::net::TransferKind;
 using bgq::topo::Torus;
+using bgq::trace::Registry;
 
 std::vector<std::byte> bytes_of(const char* s) {
   std::vector<std::byte> v(std::strlen(s));
@@ -66,7 +67,8 @@ TEST(NetworkParams, ShortMessageLatencyIsSubMicrosecond) {
 
 TEST(Fabric, MemFifoDeliversToCorrectNodeAndFifo) {
   Torus t({2, 2});
-  Fabric f(t, NetworkParams{}, /*rec_fifos_per_node=*/2);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, /*rec_fifos_per_node=*/2);
 
   Packet* p = make_packet(0, 3, 5);
   p->rec_fifo = 1;
@@ -87,7 +89,8 @@ TEST(Fabric, MemFifoDeliversToCorrectNodeAndFifo) {
 
 TEST(Fabric, WireTimeReflectsHopDistance) {
   Torus t({8, 1});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
 
   auto send = [&](bgq::topo::NodeId dst) {
     f.inject(make_packet(0, dst, 32));
@@ -101,7 +104,8 @@ TEST(Fabric, WireTimeReflectsHopDistance) {
 
 TEST(Fabric, RdmaReadCopiesRemoteBuffer) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
 
   std::vector<std::byte> src_buf = bytes_of("remote-data");
   std::vector<std::byte> dst_buf(src_buf.size());
@@ -127,7 +131,8 @@ TEST(Fabric, RdmaReadCopiesRemoteBuffer) {
 
 TEST(Fabric, RdmaReadPaysSetupRoundTrip) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   std::vector<std::byte> buf(256);
 
   f.inject(make_packet(0, 1, 256));
@@ -148,7 +153,8 @@ TEST(Fabric, RdmaReadPaysSetupRoundTrip) {
 
 TEST(Fabric, PacketArrivalWakesGate) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   auto& fifo = f.reception_fifo(1, 0);
   bgq::wakeup::WaitGate gate;
   fifo.bind_gate(&gate);
@@ -173,7 +179,8 @@ TEST(Fabric, PacketArrivalWakesGate) {
 
 TEST(Fabric, StatsAccumulate) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   for (int i = 0; i < 3; ++i) f.inject(make_packet(0, 1, 1024));
   for (int i = 0; i < 2; ++i) {
     Packet* got = f.reception_fifo(1, 0).poll();
@@ -185,8 +192,9 @@ TEST(Fabric, StatsAccumulate) {
 }
 
 TEST(Fabric, ZeroFifosRejected) {
+  Registry metrics;
   Torus t({2});
-  EXPECT_THROW(Fabric(t, NetworkParams{}, 0), std::invalid_argument);
+  EXPECT_THROW(Fabric(metrics, t, NetworkParams{}, 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,16 +237,18 @@ TEST(FaultPlan, MalformedSpecsThrow) {
 
 TEST(FaultyFabric, DropEverythingDeliversNothing) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   f.set_fault_plan(FaultPlan::parse("drop=1.0"));
   for (int i = 0; i < 10; ++i) f.inject(make_mem_packet());
   EXPECT_EQ(f.reception_fifo(1, 0).poll(), nullptr);
-  EXPECT_EQ(f.faults_dropped(), 10u);
+  EXPECT_EQ(metrics.total("net.drops"), 10u);
 }
 
 TEST(FaultyFabric, DuplicateDeliversTwice) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   f.set_fault_plan(FaultPlan::parse("dup=1.0"));
   f.inject(make_mem_packet());
   int delivered = 0;
@@ -247,12 +257,13 @@ TEST(FaultyFabric, DuplicateDeliversTwice) {
     p->release();
   }
   EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(f.faults_duplicated(), 1u);
+  EXPECT_EQ(metrics.total("net.dups"), 1u);
 }
 
 TEST(FaultyFabric, BitflipCorruptsChecksummedPayload) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   f.set_fault_plan(FaultPlan::parse("bitflip=1.0"));
   Packet* p = make_mem_packet(64);
   const std::uint64_t clean = bgq::net::packet_checksum(*p);
@@ -262,20 +273,21 @@ TEST(FaultyFabric, BitflipCorruptsChecksummedPayload) {
   ASSERT_NE(got, nullptr);
   EXPECT_NE(bgq::net::packet_checksum(*got), clean)
       << "one flipped bit must change the checksum";
-  EXPECT_EQ(f.faults_corrupted(), 1u);
+  EXPECT_EQ(metrics.total("net.bitflips"), 1u);
   got->release();
 }
 
 TEST(FaultyFabric, DelayedPacketMaturesOnLaterInjects) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   f.set_fault_plan(FaultPlan::parse("delay=1.0,maxdelay=1,seed=3"));
   // First packet is held back behind exactly one later inject.
   Packet* first = make_mem_packet();
   first->dispatch = 11;
   f.inject(first);
   EXPECT_EQ(f.reception_fifo(1, 0).poll(), nullptr);
-  EXPECT_EQ(f.faults_delayed(), 1u);
+  EXPECT_EQ(metrics.total("net.delays"), 1u);
   // The second inject matures it — but the second packet is itself
   // delayed, so only the first (reordered behind) comes out.
   Packet* second = make_mem_packet();
@@ -290,7 +302,8 @@ TEST(FaultyFabric, DelayedPacketMaturesOnLaterInjects) {
 
 TEST(FaultyFabric, RdmaTransfersAreNeverFaulted) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   f.set_fault_plan(FaultPlan::parse("drop=1.0,dup=1.0,delay=1.0"));
   std::vector<std::byte> src_buf = bytes_of("dma"), dst_buf(3);
   Packet* p = Packet::create_rdma(TransferKind::kRdmaWrite, src_buf.data(),
@@ -302,12 +315,13 @@ TEST(FaultyFabric, RdmaTransfersAreNeverFaulted) {
   ASSERT_NE(got, nullptr) << "RDMA models the MU DMA engine: reliable";
   got->release();
   EXPECT_EQ(std::memcmp(dst_buf.data(), src_buf.data(), 3), 0);
-  EXPECT_EQ(f.faults_dropped(), 0u);
+  EXPECT_EQ(metrics.total("net.drops"), 0u);
 }
 
 TEST(FaultyFabric, RejectOnFullRefusesIntoFullFifo) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1, 1, /*fifo_capacity=*/4);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1, 1, /*fifo_capacity=*/4);
   f.set_fault_plan(FaultPlan::parse("reject=1"));
   for (int i = 0; i < 10; ++i) f.inject(make_mem_packet());
   int delivered = 0;
@@ -319,12 +333,14 @@ TEST(FaultyFabric, RejectOnFullRefusesIntoFullFifo) {
   // refused and counted.
   EXPECT_GT(delivered, 0);
   EXPECT_LT(delivered, 10);
-  EXPECT_EQ(f.fifo_rejects(), 10u - static_cast<unsigned>(delivered));
+  EXPECT_EQ(metrics.total("net.fifo.rejects"),
+            10u - static_cast<unsigned>(delivered));
 }
 
 TEST(FaultyFabric, LosslessModeSpillsBeyondCapacityAndCounts) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1, 1, /*fifo_capacity=*/4);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1, 1, /*fifo_capacity=*/4);
   for (int i = 0; i < 10; ++i) f.inject(make_mem_packet());
   int delivered = 0;
   while (Packet* p = f.reception_fifo(1, 0).poll()) {
@@ -332,13 +348,14 @@ TEST(FaultyFabric, LosslessModeSpillsBeyondCapacityAndCounts) {
     p->release();
   }
   EXPECT_EQ(delivered, 10) << "default fabric is lossless: spills, not drops";
-  EXPECT_GT(f.fifo_spills(), 0u);
+  EXPECT_GT(metrics.total("net.fifo.spills"), 0u);
 }
 
 TEST(FaultyFabric, SeededPlanIsDeterministic) {
   auto run = [](std::uint64_t seed) {
     Torus t({2});
-    Fabric f(t, NetworkParams{}, 1);
+    Registry metrics;
+    Fabric f(metrics, t, NetworkParams{}, 1);
     FaultPlan plan = FaultPlan::parse("drop=0.3,dup=0.3,delay=0.2");
     plan.seed = seed;
     f.set_fault_plan(plan);
@@ -348,8 +365,8 @@ TEST(FaultyFabric, SeededPlanIsDeterministic) {
       ++delivered;
       p->release();
     }
-    return std::tuple{delivered, f.faults_dropped(), f.faults_duplicated(),
-                      f.faults_delayed()};
+    return std::tuple{delivered, metrics.total("net.drops"),
+                      metrics.total("net.dups"), metrics.total("net.delays")};
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8)) << "different seed, different fault schedule";
@@ -357,7 +374,8 @@ TEST(FaultyFabric, SeededPlanIsDeterministic) {
 
 TEST(FaultyFabric, DisabledPlanRemovesChaosLayer) {
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 1);
+  Registry metrics;
+  Fabric f(metrics, t, NetworkParams{}, 1);
   f.set_fault_plan(FaultPlan::parse("drop=1.0"));
   EXPECT_TRUE(f.faults_enabled());
   f.set_fault_plan(FaultPlan{});

@@ -9,6 +9,7 @@
 
 #include "pami/comm_thread.hpp"
 #include "pami/pami.hpp"
+#include "trace/registry.hpp"
 
 namespace {
 
@@ -22,20 +23,23 @@ using bgq::pami::SendParams;
 using bgq::topo::Torus;
 
 struct TwoNodeHarness {
+  bgq::trace::Registry metrics;
   Torus torus{{2}};
-  Fabric fabric{torus, NetworkParams{}, /*fifos=*/2};
-  Client a{fabric, 0, 2};
-  Client b{fabric, 1, 2};
+  Fabric fabric{metrics, torus, NetworkParams{}, /*fifos=*/2};
+  Client a{metrics, fabric, 0, 2};
+  Client b{metrics, fabric, 1, 2};
 };
 
 TEST(Pami, SendImmediateInvokesDispatchWithPayload) {
   TwoNodeHarness h;
   std::string got;
   bgq::pami::EndpointId origin = 99;
+  int calls = 0;
   h.b.set_dispatch(5, [&](const DispatchArgs& args) {
     got.assign(reinterpret_cast<const char*>(args.payload),
                args.payload_bytes);
     origin = args.origin;
+    ++calls;
   });
 
   SendParams p;
@@ -48,8 +52,8 @@ TEST(Pami, SendImmediateInvokesDispatchWithPayload) {
   EXPECT_EQ(h.b.context(0).advance(), 1u);
   EXPECT_EQ(got, "ping");
   EXPECT_EQ(origin, 0u);
-  EXPECT_EQ(h.a.context(0).immediate_sends(), 1u);
-  EXPECT_EQ(h.b.context(0).receives(), 1u);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(h.b.context(0).advance(), 0u) << "one send, one dispatch";
 }
 
 TEST(Pami, SendImmediateRejectsOversize) {
@@ -83,10 +87,9 @@ TEST(Pami, SendCarriesMetadataAndLargePayload) {
   p.payload = payload.data();
   p.payload_bytes = payload.size();
 
-  bool done = false;
-  p.local_done = [&] { done = true; };
   h.a.context(0).send(p);
-  EXPECT_TRUE(done) << "payload copied: local completion is synchronous";
+  // The send copied the payload: the buffer is the caller's again.
+  payload.back() = 'q';
 
   EXPECT_EQ(h.b.context(0).advance(), 1u);
   EXPECT_EQ(meta_out, meta_in);
@@ -145,11 +148,16 @@ TEST(Pami, RputPushesDataAndNotifiesRemote) {
 TEST(Pami, PostWorkRunsOnAdvancingThread) {
   TwoNodeHarness h;
   std::thread::id advancer, worker;
-  h.a.context(0).post_work([&] { worker = std::this_thread::get_id(); });
+  int runs = 0;
+  h.a.context(0).post_work([&] {
+    worker = std::this_thread::get_id();
+    ++runs;
+  });
   advancer = std::this_thread::get_id();
   EXPECT_EQ(h.a.context(0).advance(), 1u);
   EXPECT_EQ(worker, advancer);
-  EXPECT_EQ(h.a.context(0).work_executed(), 1u);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(h.a.context(0).advance(), 0u) << "the item ran exactly once";
 }
 
 TEST(Pami, DestroyedContextHandsBackPostedSends) {
@@ -192,17 +200,18 @@ TEST(Pami, UnregisteredDispatchThrows) {
 }
 
 TEST(Pami, ContextCountValidated) {
+  bgq::trace::Registry metrics;
   Torus t({2});
-  Fabric f(t, NetworkParams{}, 2);
-  EXPECT_THROW(Client(f, 0, 0), std::invalid_argument);
-  EXPECT_THROW(Client(f, 0, 3), std::invalid_argument);  // only 2 FIFOs
+  Fabric f(metrics, t, NetworkParams{}, 2);
+  EXPECT_THROW(Client(metrics, f, 0, 0), std::invalid_argument);
+  EXPECT_THROW(Client(metrics, f, 0, 3), std::invalid_argument);  // 2 FIFOs
 }
 
 TEST(CommThread, PoolProcessesPostedWorkWhileCallerSleeps) {
   TwoNodeHarness h;
   std::atomic<int> executed{0};
   {
-    CommThreadPool pool({&h.a.context(0), &h.a.context(1)}, 2);
+    CommThreadPool pool(h.metrics, {&h.a.context(0), &h.a.context(1)}, 2);
     for (int i = 0; i < 100; ++i) {
       h.a.context(i % 2).post_work([&] { executed.fetch_add(1); });
     }
@@ -217,10 +226,11 @@ TEST(CommThread, WakesFromParkOnPacketArrival) {
   std::atomic<int> received{0};
   h.b.set_dispatch(9, [&](const DispatchArgs&) { received.fetch_add(1); });
 
-  CommThreadPool pool({&h.b.context(0), &h.b.context(1)}, 1);
+  CommThreadPool pool(h.metrics, {&h.b.context(0), &h.b.context(1)}, 1);
   // Let the comm thread park.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_GT(pool.parks(), 0u) << "idle comm thread should have parked";
+  EXPECT_GT(h.metrics.total("comm.parks"), 0u)
+      << "idle comm thread should have parked";
 
   SendParams p;
   p.dest = 1;
@@ -254,8 +264,8 @@ TEST(CommThread, WakesFromParkOnPostedSend) {
   std::atomic<int> handled{0};
   h.a.context(0).set_send_handler(count_sends, &handled);
 
-  CommThreadPool pool({&h.a.context(0)}, 1);
-  ASSERT_TRUE(eventually([&] { return pool.parks() > 0; }))
+  CommThreadPool pool(h.metrics, {&h.a.context(0)}, 1);
+  ASSERT_TRUE(eventually([&] { return h.metrics.total("comm.parks") > 0; }))
       << "idle comm thread should have parked";
 
   int item = 0;
@@ -296,7 +306,7 @@ TEST(CommThread, PostedSendsFromManyThreadsRunExactlyOnce) {
   }
   for (auto& t : posters) t.join();
 
-  CommThreadPool pool({&h.a.context(0), &h.a.context(1)}, 2);
+  CommThreadPool pool(h.metrics, {&h.a.context(0), &h.a.context(1)}, 2);
   eventually([&] { return handled.load() >= kItems; });
   pool.stop();
   ASSERT_EQ(handled.load(), kItems);
@@ -320,7 +330,7 @@ TEST(CommThread, RouteSpreadsLoadEvenly) {
 
 TEST(CommThread, StopIsIdempotent) {
   TwoNodeHarness h;
-  CommThreadPool pool({&h.a.context(0)}, 1);
+  CommThreadPool pool(h.metrics, {&h.a.context(0)}, 1);
   pool.stop();
   pool.stop();
   SUCCEED();
@@ -389,9 +399,9 @@ TEST(PamiReliability, ExactlyOnceUnderHeavyDrop) {
   ASSERT_TRUE(drive_until(h, [&] { return delivered.load() >= kMsgs; }))
       << "only " << delivered.load() << "/" << kMsgs << " delivered";
   EXPECT_EQ(delivered.load(), kMsgs) << "exactly once, never more";
-  EXPECT_GT(h.a.context(0).retransmits(), 0u)
+  EXPECT_GT(h.metrics.total("net.retransmits"), 0u)
       << "half the packets dropped: the protocol must have retransmitted";
-  EXPECT_GT(h.fabric.faults_dropped(), 0u);
+  EXPECT_GT(h.metrics.total("net.drops"), 0u);
 }
 
 TEST(PamiReliability, DedupUnderGuaranteedDuplication) {
@@ -415,7 +425,7 @@ TEST(PamiReliability, DedupUnderGuaranteedDuplication) {
   drive_until(h, [&] { return false; }, 50);
   EXPECT_EQ(delivered.load(), kMsgs)
       << "every transfer delivered twice by the fabric, dispatched once";
-  EXPECT_GT(h.b.context(0).dedup_drops(), 0u);
+  EXPECT_GT(h.metrics.total("net.dedup_drops"), 0u);
 }
 
 TEST(PamiReliability, ChecksumCatchesCorruptionAndRetransmitRecovers) {
@@ -449,8 +459,8 @@ TEST(PamiReliability, ChecksumCatchesCorruptionAndRetransmitRecovers) {
   EXPECT_EQ(delivered.load(), kMsgs);
   EXPECT_EQ(bad_payloads.load(), 0)
       << "corrupted packets must never reach dispatch";
-  EXPECT_GT(h.b.context(0).corrupt_drops(), 0u);
-  EXPECT_GT(h.fabric.faults_corrupted(), 0u);
+  EXPECT_GT(h.metrics.total("net.corrupt_drops"), 0u);
+  EXPECT_GT(h.metrics.total("net.bitflips"), 0u);
 }
 
 TEST(PamiReliability, WindowFullTriggersBackpressureThenDrains) {
@@ -472,7 +482,7 @@ TEST(PamiReliability, WindowFullTriggersBackpressureThenDrains) {
     h.a.context(0).send_immediate(p);
   }
   // Only a window's worth may be in flight; the rest stalled locally.
-  EXPECT_GT(h.a.context(0).backpressure_stalls(), 0u);
+  EXPECT_GT(h.metrics.total("comm.backpressure_stalls"), 0u);
   ASSERT_TRUE(drive_until(h, [&] { return delivered.load() >= kMsgs; }));
   EXPECT_EQ(delivered.load(), kMsgs) << "backlog drains without loss";
 }
@@ -534,13 +544,12 @@ TEST(PamiReliability, LosslessFastPathKeepsCountersAtZero) {
   h.a.context(0).send_immediate(p);
   EXPECT_EQ(h.b.context(0).advance(), 1u);
   EXPECT_EQ(delivered.load(), 1);
-  EXPECT_EQ(h.a.context(0).retransmits(), 0u);
-  EXPECT_EQ(h.a.context(0).backpressure_stalls(), 0u);
-  EXPECT_EQ(h.b.context(0).dedup_drops(), 0u);
-  EXPECT_EQ(h.b.context(0).corrupt_drops(), 0u);
-  EXPECT_EQ(h.b.context(0).dup_acks(), 0u);
-  EXPECT_EQ(h.fabric.faults_dropped(), 0u);
-  EXPECT_EQ(h.fabric.fifo_spills(), 0u);
+  for (const char* name :
+       {"net.retransmits", "comm.backpressure_stalls", "net.dedup_drops",
+        "net.corrupt_drops", "net.dup_acks", "net.drops",
+        "net.fifo.spills"}) {
+    EXPECT_EQ(h.metrics.total(name), 0u) << name;
+  }
 }
 
 TEST(PamiReliability, PiggybackedAcksRideReverseTraffic) {
@@ -570,7 +579,7 @@ TEST(PamiReliability, PiggybackedAcksRideReverseTraffic) {
     ASSERT_TRUE(drive_until(h, [&] { return pongs.load() > i; }));
   }
   EXPECT_EQ(pings.load(), kRounds);
-  EXPECT_GT(h.b.context(0).piggybacked_acks(), 0u)
+  EXPECT_GT(h.metrics.total("net.acks.piggybacked"), 0u)
       << "replies should carry acks instead of separate ack packets";
 }
 
@@ -599,7 +608,7 @@ TEST(PamiReliability, DedupHorizonBoundsTableAndStillDedups) {
   constexpr int kLater = 9;
   for (int i = 0; i < kLater; ++i) h.a.context(0).send_immediate(p);
   ASSERT_TRUE(drive_until(h, [&] { return delivered.load() >= kLater; }));
-  EXPECT_GT(h.b.context(0).dedup_evictions(), 0u)
+  EXPECT_GT(h.metrics.total("net.dedup.evicted"), 0u)
       << "a >horizon backlog above a gap must evict aged entries";
 
   // The dropped packet's retransmit now arrives far below max_seen: the
@@ -609,7 +618,7 @@ TEST(PamiReliability, DedupHorizonBoundsTableAndStillDedups) {
   drive_until(h, [&] { return h.a.context(0).outstanding() == 0; }, 200);
   EXPECT_EQ(h.a.context(0).outstanding(), 0u);
   EXPECT_EQ(delivered.load(), kLater) << "horizon must not re-dispatch";
-  EXPECT_GT(h.b.context(0).dedup_drops(), 0u);
+  EXPECT_GT(h.metrics.total("net.dedup_drops"), 0u);
 }
 
 TEST(PamiReliability, DeadPeerPendingAndBacklogAreCulled) {
@@ -638,8 +647,8 @@ TEST(PamiReliability, DeadPeerPendingAndBacklogAreCulled) {
   }
   EXPECT_EQ(h.a.context(0).outstanding(), 0u);
   EXPECT_EQ(h.a.context(0).backlog_size(), 0u);
-  EXPECT_GT(h.a.context(0).dead_peer_drops(), 0u);
-  EXPECT_GT(h.fabric.blackholed(), 0u)
+  EXPECT_GT(h.metrics.total("net.dead_peer_drops"), 0u);
+  EXPECT_GT(h.metrics.total("net.blackholed"), 0u)
       << "in-flight traffic to the dead endpoint is swallowed";
 }
 

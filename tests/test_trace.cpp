@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -190,12 +191,49 @@ TEST(TraceRegistry, ShardTotalsAndGauges) {
   EXPECT_EQ(reg.total("pe.msgs.executed"), 1u);
   EXPECT_EQ(reg.total("no.such.counter"), 0u);
 
-  reg.set_gauge("comm.parks", 5);
-  reg.set_gauge("comm.parks", 9);  // overwrite, not accumulate
+  // A cell set by its owner (a gauge) overwrites; added, it accumulates.
+  bgq::trace::Cell& parks = reg.cell("comm.parks");
+  parks.set(5);
+  parks.set(9);
   EXPECT_EQ(reg.total("comm.parks"), 9u);
-  // A gauge sharing a counter's name adds into its total.
-  reg.set_gauge("pe.msgs.sent", 100);
+  parks.add(2);
+  EXPECT_EQ(reg.total("comm.parks"), 11u);
+  // Every cell of a name, and its shard counters, sum into its total.
+  reg.cell("comm.parks").add(4);
+  EXPECT_EQ(reg.total("comm.parks"), 15u);
+  reg.cell("pe.msgs.sent").add(100);
   EXPECT_EQ(reg.total("pe.msgs.sent"), 107u);
+  EXPECT_EQ(reg.report().value("pe.msgs.sent"), 107u);
+}
+
+TEST(TraceRegistry, CellsOwnALineAndReadWhileWritersRun) {
+  Registry reg;
+  bgq::trace::Cell& a = reg.cell("x.hits");
+  bgq::trace::Cell& b = reg.cell("x.hits");
+  EXPECT_NE(&a, &b) << "every cell() call makes a new cell";
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&a) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&b) % 64, 0u);
+  EXPECT_TRUE(reg.report().has("x.hits")) << "a fresh cell reports as 0";
+
+  // Two writers, one reader: the reader's totals never go backwards and
+  // end exact once the writers are joined.
+  constexpr int kAdds = 100000;
+  std::atomic<bool> go{false};
+  auto writer = [&](bgq::trace::Cell& c) {
+    while (!go.load()) std::this_thread::yield();
+    for (int i = 0; i < kAdds; ++i) c.add();
+  };
+  std::thread wa(writer, std::ref(a)), wb(writer, std::ref(b));
+  go.store(true);
+  std::uint64_t last = 0;
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t now = reg.total("x.hits");
+    EXPECT_GE(now, last);
+    last = now;
+  }
+  wa.join();
+  wb.join();
+  EXPECT_EQ(reg.total("x.hits"), 2u * kAdds);
 }
 
 TEST(TraceRegistry, ReportIsNameSorted) {
@@ -205,7 +243,7 @@ TEST(TraceRegistry, ReportIsNameSorted) {
   Registry::Shard* s = reg.make_shard("pe0");
   s->add(z, 2);
   s->add(a, 1);
-  reg.set_gauge("m.middle", 7);
+  reg.cell("m.middle").set(7);
 
   const bgq::trace::Report r = reg.report();
   ASSERT_EQ(r.entries.size(), 3u);

@@ -39,6 +39,7 @@
 #include "charm/ft_apps.hpp"
 #include "common/hash.hpp"
 #include "net/fault.hpp"
+#include "trace/registry.hpp"
 #include "transport/config.hpp"
 #include "transport/shm.hpp"
 #include "transport/socket.hpp"
@@ -58,6 +59,7 @@ using bgq::cvs::Pe;
 using bgq::net::Packet;
 using bgq::net::PacketPtr;
 using bgq::net::TransferKind;
+using bgq::trace::Registry;
 using bgq::transport::Config;
 using bgq::transport::CtrlMsg;
 using bgq::transport::DeliverySink;
@@ -348,7 +350,8 @@ TEST(TransportConfig, MalformedSpecsThrow) {
 // ---- inproc backend -------------------------------------------------------
 
 TEST(InProc, EveryEndpointIsLocalAndInjectIsIllegal) {
-  InProcTransport t(4);
+  Registry metrics;
+  InProcTransport t(metrics, 4);
   EXPECT_EQ(t.kind(), Kind::kInProc);
   for (unsigned i = 0; i < 4; ++i) EXPECT_TRUE(t.endpoint_local(i));
   EXPECT_EQ(t.poll(), 0u);
@@ -365,9 +368,11 @@ TEST(InProc, EveryEndpointIsLocalAndInjectIsIllegal) {
 // ---- backend pair contracts -----------------------------------------------
 
 /// A connected pair of transports of `kind` (ranks 0 and 1 of a 2-rank
-/// job).  Socket constructors handshake with each other, so one runs on
-/// a helper thread.
+/// job), each counting into its own registry.  Socket constructors
+/// handshake with each other, so one runs on a helper thread.
 struct Pair {
+  std::unique_ptr<Registry> ma = std::make_unique<Registry>();
+  std::unique_ptr<Registry> mb = std::make_unique<Registry>();
   std::unique_ptr<Transport> a, b;  // rank 0, rank 1
 
   static Pair make(Kind kind, const std::string& sess,
@@ -378,20 +383,25 @@ struct Pair {
       Config c0 = pair_config(kind, 2, 0, sess);
       Config c1 = pair_config(kind, 2, 1, sess);
       c0.ring_bytes = c1.ring_bytes = ring_bytes;
-      p.a = std::make_unique<ShmTransport>(c0);
-      p.b = std::make_unique<ShmTransport>(c1);
+      p.a = std::make_unique<ShmTransport>(*p.ma, c0);
+      p.b = std::make_unique<ShmTransport>(*p.mb, c1);
     } else {
       std::thread t0([&] {
-        p.a = std::make_unique<SocketTransport>(pair_config(kind, 2, 0, sess));
+        p.a = std::make_unique<SocketTransport>(
+            *p.ma, pair_config(kind, 2, 0, sess));
       });
-      p.b = std::make_unique<SocketTransport>(pair_config(kind, 2, 1, sess));
+      p.b = std::make_unique<SocketTransport>(*p.mb,
+                                              pair_config(kind, 2, 1, sess));
       t0.join();
     }
     return p;
   }
 };
 
-void check_delivery_and_ordering(Transport& tx, Transport& rx) {
+/// Rank 0 sends to rank 1.
+void check_delivery_and_ordering(Pair& p) {
+  Transport& tx = *p.a;
+  Transport& rx = *p.b;
   CaptureSink sink;
   rx.set_sink(&sink);
   constexpr std::uint64_t kN = 200;
@@ -408,8 +418,8 @@ void check_delivery_and_ordering(Transport& tx, Transport& rx) {
     EXPECT_EQ(p.payload_bytes, 16 + ((i + 1) % 97));
     EXPECT_EQ(bgq::net::packet_checksum(p), p.checksum);
   }
-  EXPECT_EQ(tx.counters().injects.load(), kN);
-  EXPECT_GE(rx.counters().frames_in.load(), kN);
+  EXPECT_EQ(p.ma->total("net.transport.injects"), kN);
+  EXPECT_EQ(p.mb->total("net.transport.injects"), 0u);
 }
 
 void check_ctrl_plane(Transport& a, Transport& b) {
@@ -453,19 +463,22 @@ void check_ctrl_plane(Transport& a, Transport& b) {
   EXPECT_EQ(cb.got[1].type, 23);
 }
 
-/// A data frame whose header disagrees with its size (payload_bytes one
-/// short of what the frame carries) is counted and kills its sender;
-/// poll() returns normally and reads nothing more from that peer.
-void check_malformed_frame_kills_sender(Transport& tx, Transport& rx) {
+/// A data frame from rank 0 whose header disagrees with its size
+/// (payload_bytes one short of what the frame carries) is counted and
+/// kills its sender; poll() returns normally and reads nothing more from
+/// that peer.
+void check_malformed_frame_kills_sender(Pair& p) {
+  Transport& tx = *p.a;
+  Transport& rx = *p.b;
+  auto errors = [&] { return p.mb->total("net.transport.frame_errors"); };
   CaptureSink sink;
   rx.set_sink(&sink);
   Packet* bad = make_packet(0, 1, 1, 32);
   bad->payload_bytes = 31;
   tx.inject(bad);
   tx.flush();
-  ASSERT_TRUE(poll_until(
-      rx, [&] { return rx.counters().frame_errors.load() != 0; }));
-  EXPECT_EQ(rx.counters().frame_errors.load(), 1u);
+  ASSERT_TRUE(poll_until(rx, [&] { return errors() != 0; }));
+  EXPECT_EQ(errors(), 1u);
   EXPECT_TRUE(rx.endpoint_dead(0)) << "the sender must be treated as failed";
   EXPECT_FALSE(rx.endpoint_dead(1));
   // The stream is closed: a well-formed frame behind the bad one is
@@ -474,13 +487,13 @@ void check_malformed_frame_kills_sender(Transport& tx, Transport& rx) {
   tx.flush();
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rx.poll(), 0u);
   EXPECT_EQ(sink.count(), 0u);
-  EXPECT_EQ(rx.counters().frame_errors.load(), 1u);
+  EXPECT_EQ(errors(), 1u);
 }
 
 TEST(ShmPair, DeliveryAndPerPairOrdering) {
   const std::string s = session("shmord");
   Pair p = Pair::make(Kind::kShm, s);
-  check_delivery_and_ordering(*p.a, *p.b);
+  check_delivery_and_ordering(p);
 }
 
 TEST(ShmPair, CtrlPlaneDirectedAndBroadcast) {
@@ -502,11 +515,11 @@ TEST(ShmPair, LivenessAndDeathAreSharedAcrossRanks) {
   EXPECT_TRUE(p.a->endpoint_dead(1));
   CaptureSink sink;
   p.b->set_sink(&sink);
-  const std::uint64_t before = p.a->blackholed();
+  const std::uint64_t before = p.ma->total("net.blackholed");
   // Fill well past the ring capacity: without the dead-consumer escape
   // this would deadlock the test.
   for (int i = 0; i < 50; ++i) p.a->inject(make_packet(0, 1, 100 + i, 2048));
-  EXPECT_GT(p.a->blackholed(), before);
+  EXPECT_GT(p.ma->total("net.blackholed"), before);
 }
 
 TEST(ShmPair, FullRingBackpressuresUntilConsumerDrains) {
@@ -524,11 +537,11 @@ TEST(ShmPair, FullRingBackpressuresUntilConsumerDrains) {
   // Let the producer actually hit the wall before draining: ring_full is
   // the backpressure signal the metrics export.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (p.a->counters().ring_full.load() == 0 &&
+  while (p.ma->total("net.transport.ring_full") == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
-  EXPECT_GE(p.a->counters().ring_full.load(), 1u);
+  EXPECT_GE(p.ma->total("net.transport.ring_full"), 1u);
   ASSERT_TRUE(poll_until(*p.b, [&] { return sink.count() == kN; }));
   producer.join();
   for (std::uint64_t i = 0; i < kN; ++i) {
@@ -539,7 +552,7 @@ TEST(ShmPair, FullRingBackpressuresUntilConsumerDrains) {
 TEST(ShmPair, MalformedFrameKillsTheSenderNotTheRank) {
   const std::string s = session("shmbad");
   Pair p = Pair::make(Kind::kShm, s);
-  check_malformed_frame_kills_sender(*p.a, *p.b);
+  check_malformed_frame_kills_sender(p);
 }
 
 TEST(ShmPair, OversizedFrameIsRejectedLoudly) {
@@ -553,7 +566,7 @@ TEST(ShmPair, OversizedFrameIsRejectedLoudly) {
 TEST(SocketPair, DeliveryAndPerPairOrdering) {
   const std::string s = session("sockord");
   Pair p = Pair::make(Kind::kSocket, s);
-  check_delivery_and_ordering(*p.a, *p.b);
+  check_delivery_and_ordering(p);
 }
 
 TEST(SocketPair, CtrlPlaneDirectedAndBroadcast) {
@@ -565,7 +578,7 @@ TEST(SocketPair, CtrlPlaneDirectedAndBroadcast) {
 TEST(SocketPair, MalformedFrameKillsTheSenderNotTheRank) {
   const std::string s = session("sockbad");
   Pair p = Pair::make(Kind::kSocket, s);
-  check_malformed_frame_kills_sender(*p.a, *p.b);
+  check_malformed_frame_kills_sender(p);
 }
 
 TEST(SocketPair, ArrivalStampsLiveness) {
@@ -593,7 +606,7 @@ TEST(SocketPair, ArrivalStampsLiveness) {
 struct PingPongRank {
   bool finished = false;
   std::uint64_t doorbell_wakes = 0;
-  std::uint64_t data_frames_in = 0;
+  std::uint64_t data_frames_out = 0;  ///< net.transport.injects
 };
 
 TEST(ShmPair, PingPongDataFramesLeaveThePollerAsleep) {
@@ -631,18 +644,17 @@ TEST(ShmPair, PingPongDataFramesLeaveThePollerAsleep) {
       std::memset(m->payload(), 0x5A, 16);
       pe.send_message(1, m);
     });
-    const bgq::transport::Counters& tc =
-        machine.fabric().transport().counters();
-    out.data_frames_in = tc.frames_in.load() - tc.ctrl_in.load();
-    out.doorbell_wakes =
-        machine.metrics_report().value("net.transport.doorbell_wakes");
+    const bgq::trace::Report rep = machine.metrics_report();
+    out.data_frames_out = rep.value("net.transport.injects");
+    out.doorbell_wakes = rep.value("net.transport.doorbell_wakes");
   };
   PingPongRank r0, r1;
   std::thread peer([&] { rank(1, r1); });
   rank(0, r0);
   peer.join();
   ASSERT_TRUE(r0.finished);
-  const std::uint64_t frames = r0.data_frames_in + r1.data_frames_in;
+  // Every data frame one rank injects, the other drains.
+  const std::uint64_t frames = r0.data_frames_out + r1.data_frames_out;
   const std::uint64_t wakes = r0.doorbell_wakes + r1.doorbell_wakes;
   std::printf("[ DOORBELL ] %llu wakes for %llu data frames\n",
               static_cast<unsigned long long>(wakes),

@@ -205,12 +205,10 @@ int main(int argc, char** argv) {
       final_value = app.final_energy();
       collect(app, machine, elems);
     }
-    if (auto* mgr = machine.ft_manager()) {
-      recoveries = mgr->recoveries();
-      checkpoints = mgr->checkpoints();
-      hang = mgr->hang_detected();
-    }
+    if (auto* mgr = machine.ft_manager()) hang = mgr->hang_detected();
     const auto rep = machine.metrics_report();
+    recoveries = rep.value("ft.recoveries");
+    checkpoints = rep.value("ft.checkpoints");
     t_injects = rep.value("net.transport.injects");
     t_polls = rep.value("net.transport.polls");
     t_ring_full = rep.value("net.transport.ring_full");
