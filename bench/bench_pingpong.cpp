@@ -120,9 +120,10 @@ cvs::MachineConfig mode_config(cvs::Mode mode);
 
 /// `--trace[=path]`: rerun one inter-node SMP ping-pong with lifecycle
 /// tracing on, dump the bgq-trace-v1 flat trace, and print the analyzer's
-/// per-hop decomposition inline.  The per-hop percentiles (from the online
-/// lat.* histograms) and the hop-sum/end-to-end coverage land in the JSON
-/// report so CI can assert the decomposition telescopes.
+/// per-hop decomposition inline.  Each non-empty segment's percentiles,
+/// under bgq-prof's segment and field names, and the hop-sum/end-to-end
+/// coverage land in the JSON report so CI can assert the decomposition
+/// telescopes.
 void run_traced(bench::JsonReport& json, const std::string& trace_path,
                 int rounds) {
   std::printf("\n== traced run: message-lifecycle decomposition "
@@ -131,15 +132,18 @@ void run_traced(bench::JsonReport& json, const std::string& trace_path,
   cvs::MachineConfig cfg = mode_config(cvs::Mode::kSmp);
   cfg.trace_events = true;
   run_pingpong(cfg, 512, rounds, false, [&](cvs::Machine& m) {
-    for (const auto& [name, h] : m.metrics().hist_report()) {
-      if (h.count() == 0) continue;
-      json.add(name + ".p50", h.percentile(0.50));
-      json.add(name + ".p99", h.percentile(0.99));
-      json.add(name + ".max", h.max());
-    }
     const trace::FlatTrace& flat = m.trace_session().collect();
     const trace::Analysis an = trace::analyze(flat);
     trace::write_prof_text(std::cout, an);
+    for (unsigned s = 0; s < trace::kHopCount - 1; ++s) {
+      const trace::Histogram& h = an.decomp.segments[s];
+      if (h.count() == 0) continue;
+      const std::string key =
+          std::string("traced.") + trace::kSegmentNames[s] + ".";
+      json.add(key + "p50_ns", h.percentile(0.50));
+      json.add(key + "p99_ns", h.percentile(0.99));
+      json.add(key + "max_ns", h.max());
+    }
     std::cout.flush();
     json.add("traced.messages",
              static_cast<std::uint64_t>(an.decomp.messages));
@@ -294,8 +298,8 @@ int main(int argc, char** argv) {
   }
   fig5.print();
   // --trace runs the traced decomposition and writes the flat trace; a
-  // --json report always includes the lat.* percentiles, so run the
-  // traced pass (without the file) for it too.
+  // --json report always includes the per-segment percentiles, so run
+  // the traced pass (without the file) for it too.
   if (want_trace || json.enabled()) {
     run_traced(json, want_trace ? trace_path : std::string(), kRounds);
   }

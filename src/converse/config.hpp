@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/spin.hpp"
 #include "ft/config.hpp"
 #include "net/fault.hpp"
 #include "net/params.hpp"
@@ -47,11 +46,6 @@ struct MachineConfig {
   /// Use the lockless pool allocator (false: GNU-arena-style baseline).
   bool use_pool_allocator = true;
 
-  /// Idle-poll pacing (§III-D ablation).  Default OsYield: this host has
-  /// fewer cores than the runtime has threads, so yielding is what keeps
-  /// functional runs live; benches set L2Paced/HotSpin explicitly.
-  IdlePollPolicy idle_policy = IdlePollPolicy::kOsYield;
-
   /// Messages up to this payload size go eager; larger use the rendezvous
   /// rget protocol (§III: "For large messages, we explored a rendezvous
   /// protocol").
@@ -76,13 +70,9 @@ struct MachineConfig {
   /// whole run can be made faulty from the outside.
   net::FaultPlan faults{};
 
-  /// Force the PAMI ack/retransmit reliability protocol on even without
-  /// faults (to measure protocol overhead on a lossless fabric).  It is
-  /// auto-enabled whenever a fault plan is active — the runtime cannot
-  /// survive drops without it.
-  bool reliable = false;
-
-  /// Reliability tuning (windows, timeouts; pami/reliability.hpp).
+  /// Reliability tuning (windows, timeouts; pami/reliability.hpp).  The
+  /// ack/retransmit protocol runs whenever a fault plan is active — the
+  /// runtime cannot survive drops without it — and never otherwise.
   pami::ReliabilityParams reliability{};
 
   /// TRAM-style streaming aggregation of small remote messages

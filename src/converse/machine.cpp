@@ -6,6 +6,7 @@
 
 #include "alloc/arena_allocator.hpp"
 #include "alloc/pool_allocator.hpp"
+#include "common/spin.hpp"
 #include "common/timing.hpp"
 #include "ft/manager.hpp"
 #include "trace/trace_io.hpp"
@@ -33,11 +34,9 @@ struct RzvToken {
   Message* src_msg;
 };
 
-/// Clamped hop latency: stamps cross threads, and while the single global
-/// steady clock makes true negatives impossible on a correct handoff, a
-/// clamp keeps one reordered read from poisoning a histogram.
-std::uint64_t hop_ns(std::uint64_t now, std::uint64_t stamp) noexcept {
-  return now >= stamp ? now - stamp : 0;
+/// A fresh cell under `name` in the machine registry of `process`.
+trace::Cell& cell_of(Process& process, const char* name) {
+  return process.machine().metrics().cell(name);
 }
 
 /// How long a rank waits at the end of a multi-process run for peers to
@@ -57,7 +56,15 @@ constexpr std::uint64_t kPollerSafetyNetNs = 10'000'000;
 // ---------------------------------------------------------------------------
 
 Pe::Pe(Process& process, PeRank rank, unsigned local_index)
-    : process_(process), rank_(rank), local_(local_index) {
+    : process_(process),
+      rank_(rank),
+      local_(local_index),
+      msgs_sent_(cell_of(process, "pe.msgs.sent")),
+      sends_intra_(cell_of(process, "pe.sends.intra")),
+      sends_network_(cell_of(process, "pe.sends.network")),
+      msgs_executed_(cell_of(process, "pe.msgs.executed")),
+      busy_ns_(cell_of(process, "pe.busy_ns")),
+      idle_probes_(cell_of(process, "pe.idle.probes")) {
   Machine& mach = process_.machine();
   const auto& cfg = mach.config();
   if (cfg.use_l2_atomics) {
@@ -65,7 +72,6 @@ Pe::Pe(Process& process, PeRank rank, unsigned local_index)
   } else {
     mutex_queue_ = std::make_unique<queue::MutexQueue<void*>>();
   }
-  counters_ = mach.metrics().make_shard("pe" + std::to_string(rank_));
   ring_ = mach.trace_session().make_ring(
       static_cast<std::uint32_t>(process_.endpoint()), local_,
       "pe" + std::to_string(rank_));
@@ -77,7 +83,9 @@ Message* Pe::alloc_message(std::size_t payload_bytes, HandlerId handler) {
   void* raw = process_.allocator().allocate(
       Process::current_tid(), sizeof(MsgHeader) + payload_bytes);
   auto* m = Message::from_raw(raw);
-  m->header() = MsgHeader{};
+  // Zero all 32 bytes, the tail padding too: the header travels as PAMI
+  // metadata, and a pool buffer's stale bytes must not go with it.
+  std::memset(static_cast<void*>(&m->header()), 0, sizeof(MsgHeader));
   m->header().payload_bytes = static_cast<std::uint32_t>(payload_bytes);
   m->header().handler = handler;
   m->header().src_pe = rank_;
@@ -92,8 +100,7 @@ void Pe::send_message(PeRank dst, Message* m) {
   m->header().dst_pe = dst;
   m->header().src_pe = rank_;
   Machine& mach = machine();
-  const CounterIds& ids = mach.counter_ids();
-  counters_->add(ids.msgs_sent);
+  msgs_sent_.owner_add();
   if (mach.ft_armed()) {
     m->header().epoch = static_cast<std::uint16_t>(mach.msg_epoch());
     mach.note_sent();
@@ -103,12 +110,11 @@ void Pe::send_message(PeRank dst, Message* m) {
     // it survives the JSON exports' doubles) and open the lifecycle.
     MsgHeader& h = m->header();
     h.trace_id = (static_cast<std::uint64_t>(rank_ + 1) << 32) | ++trace_seq_;
-    h.stamp_ns = now_ns();
-    ring_->emit({h.stamp_ns, dst, trace::EventKind::kMsgSend, h.trace_id});
+    ring_->emit({now_ns(), dst, trace::EventKind::kMsgSend, h.trace_id});
   }
   if (mach.process_of(dst) == mach.process_of(rank_)) {
     // Same SMP process: pointer exchange straight into the peer's queue.
-    counters_->add(ids.sends_intra);
+    sends_intra_.owner_add();
     mach.pe(dst).enqueue(m);
     return;
   }
@@ -119,7 +125,7 @@ void Pe::send_message(PeRank dst, Message* m) {
       tr != nullptr && tr->offer(*this, dst, m)) {
     return;
   }
-  counters_->add(ids.sends_network);
+  sends_network_.owner_add();
   process_.net_send(*this, m);
 }
 
@@ -142,14 +148,8 @@ void Pe::broadcast(HandlerId handler, const void* payload, std::size_t bytes,
 void Pe::enqueue(Message* m) {
   // Producer-side trace tick, on the *sender's* track (null-bound
   // threads skip at the cost of one thread-local load).
-  MsgHeader& h = m->header();
-  if (h.trace_id != 0) {
-    const std::uint64_t t =
-        trace::emit_here(trace::EventKind::kMsgEnqueue, rank_, h.trace_id);
-    h.stamp_ns = t != 0 ? t : now_ns();  // queue-wait baseline for dequeue
-  } else {
-    trace::emit_here(trace::EventKind::kMsgEnqueue, rank_);
-  }
+  trace::emit_here(trace::EventKind::kMsgEnqueue, rank_,
+                   m->header().trace_id);
   if (l2_queue_) {
     l2_queue_->enqueue(m->raw());
   } else {
@@ -178,16 +178,10 @@ void Pe::execute(Message* m) {
   if (ring_) ring_->emit({t0, h, trace::EventKind::kHandlerBegin, cid});
   machine().handler(h)(*this, m);
   const std::uint64_t t1 = now_ns();
-  const CounterIds& ids = machine().counter_ids();
-  counters_->add(ids.busy_ns, t1 - t0);
-  counters_->add(ids.msgs_executed);
+  busy_ns_.owner_add(t1 - t0);
+  msgs_executed_.owner_add();
   if (mach.ft_armed()) mach.note_executed();
-  if (ring_) {
-    ring_->emit({t1, h, trace::EventKind::kHandlerEnd, cid});
-    if (cid != 0) {
-      counters_->record(machine().hist_ids().handler_ns, t1 - t0);
-    }
-  }
+  if (ring_) ring_->emit({t1, h, trace::EventKind::kHandlerEnd, cid});
 }
 
 bool Pe::pump_one() {
@@ -197,12 +191,8 @@ bool Pe::pump_one() {
     Message* m = Message::from_raw(raw);
     if (ring_) {
       const MsgHeader& h = m->header();
-      const std::uint64_t t = now_ns();
-      ring_->emit({t, h.handler, trace::EventKind::kMsgDequeue, h.trace_id});
-      if (h.trace_id != 0) {
-        counters_->record(machine().hist_ids().queue_ns,
-                          hop_ns(t, h.stamp_ns));
-      }
+      ring_->emit(
+          {now_ns(), h.handler, trace::EventKind::kMsgDequeue, h.trace_id});
     }
     execute(m);
     return true;
@@ -217,8 +207,6 @@ bool Pe::pump_one() {
 
 void Pe::scheduler_loop() {
   Machine& mach = machine();
-  const IdlePollPolicy policy = mach.config().idle_policy;
-  const CounterIds& ids = mach.counter_ids();
   const bool ft = mach.ft_armed();
   ft::Manager* mgr = ft ? mach.ft_manager() : nullptr;
   tram::Router* tr = mach.tram_router();
@@ -257,10 +245,11 @@ void Pe::scheduler_loop() {
       idle = true;
       if (ring_) ring_->emit({now_ns(), 0, trace::EventKind::kIdleBegin});
     }
-    // Idle poll (§III-D): pace the re-probe so sibling hardware threads
-    // keep the core's pipeline (emulated by pause bursts / yields).
-    counters_->add(ids.idle_probes);
-    idle_pause(policy);
+    // Idle poll (§III-D): yield between probes.  This host has fewer
+    // cores than the runtime has threads, so yielding is what keeps
+    // functional runs live; bench_idlepoll measures the other policies.
+    idle_probes_.owner_add();
+    idle_pause(IdlePollPolicy::kOsYield);
   }
   if (idle && ring_) {
     ring_->emit({now_ns(), 0, trace::EventKind::kIdleEnd});
@@ -295,7 +284,11 @@ Process::Process(Machine& machine, pami::EndpointId endpoint)
   client_ = std::make_unique<pami::Client>(machine.metrics(), machine.fabric(),
                                            endpoint,
                                            cfg.contexts_per_process());
-  if (cfg.reliable) client_->enable_reliability(cfg.reliability);
+  // An active fault plan drops packets: only acks and retransmits make
+  // delivery exactly-once again.
+  if (machine.fabric().faults_enabled()) {
+    client_->enable_reliability(cfg.reliability);
+  }
   register_dispatches();
   for (unsigned i = 0; i < client_->context_count(); ++i) {
     client_->context(i).set_send_handler(&Process::posted_send, this);
@@ -381,23 +374,12 @@ void Process::send_on_context(pami::Context& ctx, Message* m) {
       m->header().src_pe % machine_.config().contexts_per_process());
   const std::size_t bytes = m->payload_bytes();
 
-  MsgHeader& hdr = m->header();
-  if (hdr.trace_id != 0) {
-    // Injection hop closes here (send -> this context picking the message
-    // up); re-stamp *before* the header is copied into packet metadata so
-    // the network hop's baseline crosses the wire with the message.
-    const std::uint64_t t = now_ns();
-    trace::Registry::record_here(machine_.hist_ids().inject_ns,
-                                 hop_ns(t, hdr.stamp_ns));
-    hdr.stamp_ns = t;
-  }
-
   pami::SendParams p;
   p.dest = dst_ep;
   p.dest_context = dest_ctx;
   p.metadata = &m->header();
   p.metadata_bytes = sizeof(MsgHeader);
-  p.cid = hdr.trace_id;
+  p.cid = m->header().trace_id;
 
   // Rendezvous ships a raw source-buffer pointer and pulls it with rget —
   // meaningless across address spaces, so remote-process destinations go
@@ -428,19 +410,10 @@ void Process::send_on_context(pami::Context& ctx, Message* m) {
 }
 
 void Process::on_eager(const pami::DispatchArgs& a) {
-  MsgHeader hdr;
-  std::memcpy(&hdr, a.metadata, sizeof(hdr));
-  if (hdr.trace_id != 0) {
-    // Network hop closes at dispatch on the receive side.
-    const std::uint64_t t = now_ns();
-    trace::Registry::record_here(machine_.hist_ids().network_ns,
-                                 hop_ns(t, hdr.stamp_ns));
-    hdr.stamp_ns = t;
-  }
   void* raw = allocator_->allocate(current_tid(),
                                    sizeof(MsgHeader) + a.payload_bytes);
   auto* m = Message::from_raw(raw);
-  m->header() = hdr;
+  std::memcpy(&m->header(), a.metadata, sizeof(MsgHeader));
   if (a.payload_bytes != 0) {
     std::memcpy(m->payload(), a.payload, a.payload_bytes);
   }
@@ -462,21 +435,13 @@ void Process::deliver(Message* m) {
 void Process::on_rendezvous_req(const pami::DispatchArgs& a) {
   MsgHeader hdr;
   std::memcpy(&hdr, a.metadata, sizeof(hdr));
-  if (hdr.trace_id != 0) {
-    // Rendezvous: the network hop closes when the request lands; the rget
-    // payload pull shows up between here and the enqueue that follows it.
-    const std::uint64_t t = now_ns();
-    trace::Registry::record_here(machine_.hist_ids().network_ns,
-                                 hop_ns(t, hdr.stamp_ns));
-    hdr.stamp_ns = t;
-  }
   RzvToken token;
   std::memcpy(&token, a.payload, sizeof(token));
 
   void* raw = allocator_->allocate(current_tid(),
                                    sizeof(MsgHeader) + hdr.payload_bytes);
   auto* m = Message::from_raw(raw);
-  m->header() = hdr;
+  std::memcpy(&m->header(), a.metadata, sizeof(MsgHeader));
 
   pami::Context* ctx = a.context;
   const pami::EndpointId origin = a.origin;
@@ -519,11 +484,10 @@ void Process::start_comm_threads(unsigned n) {
       [this, workers, mach, ep](unsigned comm_tid) {
         // Comm threads use allocator slots after the workers'.
         bind_thread(workers + comm_tid);
-        const std::string label =
-            "comm" + std::to_string(ep) + "." + std::to_string(comm_tid);
-        trace::Registry::bind_thread(mach->metrics().make_shard(label));
         if (mach->trace_session().enabled()) {
-          mach->trace_session().adopt_thread(ep, workers + comm_tid, label);
+          mach->trace_session().adopt_thread(
+              ep, workers + comm_tid,
+              "comm" + std::to_string(ep) + "." + std::to_string(comm_tid));
         }
       });
 }
@@ -543,35 +507,15 @@ Machine::Machine(MachineConfig cfg)
       ring_hwm_(metrics_.cell("trace.ring.hwm")),
       trace_(cfg.trace_events, cfg.trace_ring_events),
       stale_drops_(metrics_.cell("ft.stale_drops")) {
-  // Intern every machine-layer counter before any Pe makes its shard, so
-  // shards are born full-size and never resize on the hot path.
-  ids_.msgs_executed = metrics_.intern("pe.msgs.executed");
-  ids_.msgs_sent = metrics_.intern("pe.msgs.sent");
-  ids_.sends_intra = metrics_.intern("pe.sends.intra");
-  ids_.sends_network = metrics_.intern("pe.sends.network");
-  ids_.idle_probes = metrics_.intern("pe.idle.probes");
-  ids_.busy_ns = metrics_.intern("pe.busy_ns");
-  tram_ids_.appends = metrics_.intern("tram.appends");
-  tram_ids_.batches = metrics_.intern("tram.batches");
-  tram_ids_.batched_msgs = metrics_.intern("tram.batched_msgs");
-  tram_ids_.deagg_msgs = metrics_.intern("tram.deagg_msgs");
-  tram_ids_.flush_bytes = metrics_.intern("tram.flush.bytes");
-  tram_ids_.flush_count = metrics_.intern("tram.flush.count");
-  tram_ids_.flush_timeout = metrics_.intern("tram.flush.timeout");
-  tram_ids_.flush_barrier = metrics_.intern("tram.flush.barrier");
-  tram_ids_.bypass_oversize = metrics_.intern("tram.bypass.oversize");
-  tram_ids_.stale_discards = metrics_.intern("tram.stale_discards");
-  hist_ids_.inject_ns = metrics_.intern_hist("lat.inject_ns");
-  hist_ids_.network_ns = metrics_.intern_hist("lat.network_ns");
-  hist_ids_.queue_ns = metrics_.intern_hist("lat.queue_ns");
-  hist_ids_.handler_ns = metrics_.intern_hist("lat.handler_ns");
-  // The FT manager's counters report (as zeros) on machines without one.
+  // The FT manager's and the tram router's counters report (as zeros)
+  // on machines without one.
   for (const char* name :
        {"ft.checkpoints", "ft.checkpoints_skipped", "ft.recoveries",
         "ft.crashes", "ft.heartbeats", "ft.watchdog_dumps",
         "ft.checkpoint_bytes", "ft.recovery_ns", "ft.detect_ns"}) {
     metrics_.intern(name);
   }
+  for (const char* name : tram::kCounterNames) metrics_.intern(name);
   // Transport backend: an explicit config wins; otherwise BGQ_TRANSPORT
   // lets the bgq-run launcher make any existing binary host one rank of a
   // multi-process job.
@@ -621,10 +565,7 @@ Machine::Machine(MachineConfig cfg)
   // processes under tests that have no checkpoint/restart or watchdog to
   // survive or even notice it.
   if (!cfg_.ft.armed()) plan.crashes.clear();
-  if (plan.enabled()) {
-    fabric_->set_fault_plan(plan);
-    cfg_.reliable = true;  // the runtime cannot survive drops without it
-  }
+  if (plan.enabled()) fabric_->set_fault_plan(plan);
   ft_armed_ = cfg_.ft.armed();
   barrier_slots_ = std::vector<BarrierSlot>(cfg_.pe_count());
   if (ft_armed_) {
@@ -834,7 +775,6 @@ void Machine::run(const std::function<void(Pe&)>& init) {
       workers.emplace_back([this, proc = proc.get(), pe, w, &init] {
         proc->bind_thread(w);
         trace::Session::bind_thread(pe->ring_);
-        trace::Registry::bind_thread(pe->counters_);
         worker_barrier(pe);  // everyone exists before any traffic flows
         init(*pe);
         pe->scheduler_loop();

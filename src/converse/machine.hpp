@@ -68,45 +68,6 @@ inline constexpr std::uint16_t kRecBlob = 22;     ///< a=seq b=proc, blob
 /// (pe.free_message) or forward it (pe.send_message).
 using HandlerFn = std::function<void(Pe&, Message*)>;
 
-/// Dense ids of the per-PE counters the machine layer maintains in the
-/// metrics registry (interned once at Machine construction; see
-/// src/trace/registry.hpp for the naming scheme).
-struct CounterIds {
-  trace::Registry::Id msgs_executed;  ///< pe.msgs.executed
-  trace::Registry::Id msgs_sent;      ///< pe.msgs.sent
-  trace::Registry::Id sends_intra;    ///< pe.sends.intra
-  trace::Registry::Id sends_network;  ///< pe.sends.network
-  trace::Registry::Id idle_probes;    ///< pe.idle.probes
-  trace::Registry::Id busy_ns;        ///< pe.busy_ns
-};
-
-/// Dense ids of the message-aggregation counters (src/tram/).  Interned
-/// unconditionally — like every machine-layer counter — so reports keep a
-/// stable key set; all zeros when MachineConfig::tram is off.
-struct TramIds {
-  trace::Registry::Id appends;         ///< tram.appends
-  trace::Registry::Id batches;         ///< tram.batches
-  trace::Registry::Id batched_msgs;    ///< tram.batched_msgs
-  trace::Registry::Id deagg_msgs;      ///< tram.deagg_msgs
-  trace::Registry::Id flush_bytes;     ///< tram.flush.bytes
-  trace::Registry::Id flush_count;     ///< tram.flush.count
-  trace::Registry::Id flush_timeout;   ///< tram.flush.timeout
-  trace::Registry::Id flush_barrier;   ///< tram.flush.barrier
-  trace::Registry::Id bypass_oversize; ///< tram.bypass.oversize
-  trace::Registry::Id stale_discards;  ///< tram.stale_discards
-};
-
-/// Dense ids of the per-hop latency histograms recorded online while a
-/// traced message moves through its lifecycle (see message.hpp: the
-/// header's stamp_ns is re-stamped at every hop, so each stage sees both
-/// endpoints of its own interval).  All zero-sample when tracing is off.
-struct HistIds {
-  trace::Registry::Id inject_ns;   ///< lat.inject_ns: send -> PAMI inject
-  trace::Registry::Id network_ns;  ///< lat.network_ns: inject -> dispatch
-  trace::Registry::Id queue_ns;    ///< lat.queue_ns: enqueue -> dequeue
-  trace::Registry::Id handler_ns;  ///< lat.handler_ns: handler begin -> end
-};
-
 /// One worker processing element.
 class Pe {
  public:
@@ -158,12 +119,6 @@ class Pe {
   /// Machine-wide worker barrier (benchmark phase alignment).
   void barrier();
 
-  /// This PE's counter shard in the machine's metrics registry, for
-  /// runtime services that account on behalf of this PE (the tram
-  /// Router).  Owner-thread writes only; read whole-machine totals via
-  /// Machine::metrics().
-  trace::Registry::Shard* counters_shard() noexcept { return counters_; }
-
   /// This PE's event ring, or nullptr when the run was configured
   /// without tracing (MachineConfig::trace_events).  Layers above the
   /// machine (e.g. the parallel MD driver's phase markers) emit here.
@@ -192,8 +147,18 @@ class Pe {
   // Context this worker advances (modes without comm threads), else null.
   pami::Context* owned_context_ = nullptr;
 
-  trace::Registry::Shard* counters_;       // owned by the machine registry
-  trace::EventRing* ring_ = nullptr;       // owned by the trace session
+  // This PE's counters: cells the machine registry owns and only this
+  // PE's thread writes (Cell::owner_add).  The tram router, on this
+  // thread, adds the records it runs inline to msgs_executed_ and
+  // busy_ns_.
+  trace::Cell& msgs_sent_;      ///< pe.msgs.sent
+  trace::Cell& sends_intra_;    ///< pe.sends.intra
+  trace::Cell& sends_network_;  ///< pe.sends.network
+  trace::Cell& msgs_executed_;  ///< pe.msgs.executed
+  trace::Cell& busy_ns_;        ///< pe.busy_ns
+  trace::Cell& idle_probes_;    ///< pe.idle.probes
+
+  trace::EventRing* ring_ = nullptr;  // owned by the trace session
   std::uint64_t send_seq_ = 0;   // round-robin context routing
   std::uint64_t trace_seq_ = 0;  // per-PE causal-id allocation
 };
@@ -349,7 +314,6 @@ class Machine {
   /// off.  Created before any application handler registers, so its
   /// deaggregation handler always gets the first id.
   tram::Router* tram_router() noexcept { return tram_.get(); }
-  const TramIds& tram_ids() const noexcept { return tram_ids_; }
 
   /// Timeout-flush hook for wait loops outside the scheduler (the FT
   /// quiescence wait): no-op without a router.
@@ -450,13 +414,11 @@ class Machine {
   // ---- tracing & metrics (src/trace/) ------------------------------------
 
   /// The machine-wide counter registry, the one store of every runtime
-  /// counter: per-PE counters live in shards owned by the PEs (exact once
-  /// run() has returned), and every component — contexts, fabric and
-  /// FIFOs, transport, allocators, comm threads, FT manager — counts into
-  /// cells it took when it was built (exact at any time).
+  /// counter: every component — PEs and the tram router, contexts, fabric
+  /// and FIFOs, transport, allocators, comm threads, FT manager — counts
+  /// into cells it took when it was built, so totals are exact at any
+  /// time.
   trace::Registry& metrics() noexcept { return metrics_; }
-  const CounterIds& counter_ids() const noexcept { return ids_; }
-  const HistIds& hist_ids() const noexcept { return hist_ids_; }
 
   /// Snapshot of every counter, after setting the trace-ring health
   /// cells (trace.ring.drops, trace.ring.hwm) from the session.
@@ -496,9 +458,6 @@ class Machine {
   MachineConfig cfg_;
   topo::Torus torus_;
   trace::Registry metrics_;
-  CounterIds ids_;
-  TramIds tram_ids_;
-  HistIds hist_ids_;
   trace::Cell& ring_drops_;  ///< events lost to full trace rings
   trace::Cell& ring_hwm_;    ///< worst trace-ring occupancy
 

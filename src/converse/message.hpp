@@ -7,9 +7,9 @@
 // metadata and the payload as the PAMI payload.
 //
 // The header has one 32-byte layout: what delivery needs, plus the causal
-// trace id and the hop-to-hop timestamp the message-lifecycle analyzer
-// feeds on.  Tracing is switched at run time (MachineConfig::trace_events):
-// an untraced run leaves both trace fields 0.
+// trace id the message-lifecycle analyzer joins a message's hops by.
+// Tracing is switched at run time (MachineConfig::trace_events): an
+// untraced run leaves the id 0.
 #pragma once
 
 #include <cstddef>
@@ -40,11 +40,9 @@ struct alignas(16) MsgHeader {
   /// 2^53 (exactly representable in the JSON exports' doubles) for any
   /// realistic PE count and message volume.
   std::uint64_t trace_id = 0;
-  /// Timestamp of the previous lifecycle hop, re-stamped hop-to-hop so
-  /// each stage can compute its latency with both endpoints visible on
-  /// one thread (no cross-thread clock handoff; travels as metadata).
-  std::uint64_t stamp_ns = 0;
 };
+// 24 bytes of fields, padded to 32 by the alignment that keeps every
+// payload 16-byte aligned.
 static_assert(sizeof(MsgHeader) == 32);
 
 /// A Converse message.  Never constructed directly — allocated by

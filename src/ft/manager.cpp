@@ -250,8 +250,7 @@ void Manager::unrecoverable(const char* why) {
 
 void Manager::dump_diagnostics(const char* why) {
   const std::uint64_t now = now_ns();
-  // Only cells are read: they are exact mid-run, where the PE shards'
-  // plain counters are not.
+  // Registry cells are exact mid-run.
   const trace::Registry& reg = mach_.metrics();
   std::fprintf(stderr, "=== bgq ft diagnostic dump: %s ===\n", why);
   std::fprintf(

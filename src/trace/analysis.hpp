@@ -1,7 +1,7 @@
 // Post-mortem analysis over a collected (or re-read) flat trace — the
 // Projections-style half of the tracing subsystem.  Everything here is
-// pure computation on a FlatTrace; the online side (rings, histograms,
-// hop stamping) lives in session.hpp / registry.hpp and the machine layer.
+// pure computation on a FlatTrace; the online side (rings and the
+// causal-id stamps) lives in session.hpp and the machine layer.
 //
 // Four products, mirroring how the paper argues its optimizations:
 //   * per-message latency decomposition — each causal-id lifecycle is

@@ -8,12 +8,13 @@
 // own cell), so short queue waits measured in single nanoseconds don't
 // smear.
 //
-// Thread model mirrors the registry's Shard counters: record() is an
-// owner-thread, non-atomic operation; cross-thread aggregation happens by
-// merge()-ing per-thread instances at report time (exact at quiesce,
-// advisory while threads are live).  merge() is cell-wise addition, so it
-// is associative and order-independent — the property that lets the
-// analyzer fold any number of PE-local histograms into one.
+// Thread model: a Histogram is a plain value with no locking.  record()
+// and merge() belong to whichever one thread holds the instance — the
+// analyzer folding a collected trace, a bench timing its own loop — and
+// nothing records into a histogram while another thread reads it.
+// merge() is cell-wise addition, so it is associative and
+// order-independent — the property that lets the analyzer fold any
+// number of per-track histograms into one.
 #pragma once
 
 #include <algorithm>

@@ -1,23 +1,19 @@
 // Process-wide counter registry: the one store every runtime counter
 // lives in, and the source of Machine::metrics_report().
 //
-// Two storage kinds, one namespace of names:
+// One storage kind: a component takes a Cell per counter when it is
+// built (`cell(name)`) and holds it by reference.  A cell is a relaxed
+// atomic on a line of its own, so any thread may read it while the job
+// runs and writers on different threads never share a line.  A cell many
+// threads count into adds with a relaxed fetch_add; a cell only one
+// thread writes (each PE's `pe.*` and `tram.*` counters) adds with a
+// relaxed load and store (`Cell::owner_add`), exact for its one writer
+// and never torn for a reader.  A value its owner sets (a gauge: resident
+// checkpoint bytes, a ring's high-water mark) is a cell too.
 //
-//   * shard counters — each traced thread of execution owns a *shard*, a
-//     plain array of counts indexed by interned id.  Hot-path increments
-//     are one non-atomic add on the owning shard (the per-PE `pe.*` and
-//     `tram.*` counters); totals are exact at quiesce (after Machine::run
-//     returns) and advisory while threads are live;
-//   * shared cells — a component takes a Cell per counter when it is
-//     built (`cell(name)`) and holds it by reference.  A cell is a relaxed
-//     atomic on a line of its own, so any thread may add to or set it and
-//     any thread may read it while the job runs.  A value its owner sets
-//     (a gauge: resident checkpoint bytes, a ring's high-water mark) is a
-//     cell too.
-//
-// A name reports the sum of every shard counter and cell under it, so a
-// component with one cell per context, per FIFO or per thread slot needs
-// no gathering code: the report is a snapshot.
+// A name reports the sum of every cell under it, so a component with one
+// cell per PE, per context, per FIFO or per thread slot needs no
+// gathering code: the report is a snapshot, exact at any time.
 //
 // Naming scheme: lowercase dotted `<subsystem>.<object>.<metric>`, e.g.
 // `pe.msgs.executed`, `pe.sends.network`, `alloc.pool.hits`,
@@ -29,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -37,7 +32,6 @@
 #include <vector>
 
 #include "common/cacheline.hpp"
-#include "trace/histogram.hpp"
 
 namespace bgq::trace {
 
@@ -60,15 +54,17 @@ struct Report {
   }
 };
 
-/// One shared counter: owned by a Registry, held by reference by the
-/// component that counts into it.  Relaxed atomic operations from any
-/// thread; alone on its L2 line, so writers on different threads never
-/// share one.
+/// One counter: owned by a Registry, held by reference by the component
+/// that counts into it.  Relaxed atomic operations from any thread; alone
+/// on its L2 line, so writers on different threads never share one.
 class alignas(kL2Line) Cell {
  public:
   void add(std::uint64_t v = 1) noexcept {
     v_.fetch_add(v, std::memory_order_relaxed);
   }
+  /// add() for a cell only the calling thread ever writes: a plain load
+  /// and store instead of a locked read-modify-write.
+  void owner_add(std::uint64_t v = 1) noexcept { set(get() + v); }
   void set(std::uint64_t v) noexcept {
     v_.store(v, std::memory_order_relaxed);
   }
@@ -84,48 +80,13 @@ class Registry {
  public:
   using Id = std::size_t;
 
-  /// One thread's block of counts and histogram instances.
-  /// add()/get()/record() are owner-thread operations; the registry reads
-  /// them only at report time.
-  class Shard {
-   public:
-    void add(Id id, std::uint64_t v = 1) noexcept {
-      if (id >= counts_.size()) counts_.resize(id + 1, 0);
-      counts_[id] += v;
-    }
-    std::uint64_t get(Id id) const noexcept {
-      return id < counts_.size() ? counts_[id] : 0;
-    }
-    /// Record one sample into this shard's instance of histogram `id`
-    /// (an id from intern_hist, not intern).
-    void record(Id id, std::uint64_t v) noexcept {
-      if (id >= hists_.size()) hists_.resize(id + 1);
-      hists_[id].record(v);
-    }
-    const Histogram* hist(Id id) const noexcept {
-      return id < hists_.size() ? &hists_[id] : nullptr;
-    }
-    const std::string& label() const noexcept { return label_; }
-
-   private:
-    friend class Registry;
-    explicit Shard(std::string label, std::size_t reserve,
-                   std::size_t hist_reserve)
-        : label_(std::move(label)),
-          counts_(reserve, 0),
-          hists_(hist_reserve) {}
-    std::string label_;
-    std::vector<std::uint64_t> counts_;
-    std::vector<Histogram> hists_;
-  };
-
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Intern `name` into a dense id (idempotent; thread-safe).  Intern all
-  /// shard counters before creating shards so their arrays never grow on
-  /// a hot path.
+  /// Intern `name` into a dense id (idempotent; thread-safe): it then
+  /// reports, as 0 until some cell counts under it.  Lets a component
+  /// that may not exist in a configuration keep the report's key set.
   Id intern(std::string_view name) {
     std::lock_guard<std::mutex> g(mu_);
     return intern_locked(name);
@@ -140,74 +101,7 @@ class Registry {
     return cells_.emplace_back();  // a deque never moves its elements
   }
 
-  /// Intern a histogram name into its own dense id space (idempotent;
-  /// thread-safe).  Intern all histograms before creating shards so the
-  /// per-shard Histogram vector never grows on a hot path.
-  Id intern_hist(std::string_view name) {
-    std::lock_guard<std::mutex> g(mu_);
-    for (Id i = 0; i < hist_names_.size(); ++i) {
-      if (hist_names_[i] == name) return i;
-    }
-    hist_names_.emplace_back(name);
-    return hist_names_.size() - 1;
-  }
-
-  /// Create (and own) a shard sized to the counters interned so far.
-  Shard* make_shard(std::string label) {
-    std::lock_guard<std::mutex> g(mu_);
-    shards_.push_back(std::unique_ptr<Shard>(
-        new Shard(std::move(label), names_.size(), hist_names_.size())));
-    return shards_.back().get();
-  }
-
-  // ---- thread binding -------------------------------------------------
-  // Mirrors Session's ring binding: each traced thread binds its shard
-  // once, and always-compiled runtime record sites go through the TLS
-  // pointer so callers that run on foreign threads (fabric delivery, comm
-  // threads) still charge the right shard.  Unbound threads pay one TLS
-  // load and a branch.
-
-  static Shard* thread_shard() noexcept { return tls_shard_; }
-  static void bind_thread(Shard* s) noexcept { tls_shard_ = s; }
-
-  /// Record into the calling thread's bound shard, if any.
-  static void record_here(Id hist_id, std::uint64_t v) noexcept {
-    if (Shard* s = tls_shard_) s->record(hist_id, v);
-  }
-
-  /// Histogram `name` merged across all shards (exact at quiesce).
-  Histogram hist_total(std::string_view name) const {
-    std::lock_guard<std::mutex> g(mu_);
-    Histogram out;
-    for (Id i = 0; i < hist_names_.size(); ++i) {
-      if (hist_names_[i] != name) continue;
-      for (const auto& s : shards_) {
-        if (const Histogram* h = s->hist(i)) out.merge(*h);
-      }
-      break;
-    }
-    return out;
-  }
-
-  /// Every interned histogram name with its cross-shard merge, in intern
-  /// order (report/export path).
-  std::vector<std::pair<std::string, Histogram>> hist_report() const {
-    std::lock_guard<std::mutex> g(mu_);
-    std::vector<std::pair<std::string, Histogram>> out;
-    out.reserve(hist_names_.size());
-    for (Id i = 0; i < hist_names_.size(); ++i) {
-      Histogram merged;
-      for (const auto& s : shards_) {
-        if (const Histogram* h = s->hist(i)) merged.merge(*h);
-      }
-      out.emplace_back(hist_names_[i], merged);
-    }
-    return out;
-  }
-
-  /// Sum of `name` over its shard counters and cells.  Cells read
-  /// exactly at any time; shard counters are advisory while their owner
-  /// threads run.
+  /// Sum of `name` over its cells, current at any time.
   std::uint64_t total(std::string_view name) const {
     std::lock_guard<std::mutex> g(mu_);
     for (Id i = 0; i < names_.size(); ++i) {
@@ -219,17 +113,17 @@ class Registry {
   /// Start a new reporting epoch: every value reported from now on is
   /// relative to this instant (clamped at zero), so post-restart
   /// `ft.*`/`net.*` traffic isn't conflated with pre-crash totals.
-  /// Neither shards nor cells are touched — writers keep counting; only
-  /// the report-time view shifts.  Callable any time; best called at a
-  /// quiescent point (recovery barrier) so the baseline is exact.
+  /// Cells are not touched — writers keep counting; only the report-time
+  /// view shifts.  Callable any time; best called at a quiescent point
+  /// (recovery barrier) so the baseline is exact.
   void reset_epoch() {
     std::lock_guard<std::mutex> g(mu_);
     base_.resize(names_.size());
     for (Id i = 0; i < names_.size(); ++i) base_[i] = sum_locked(i);
   }
 
-  /// Every name with the sum of its shard counters and cells, sorted by
-  /// name — relative to the last reset_epoch(), if any.
+  /// Every name with the sum of its cells, sorted by name — relative to
+  /// the last reset_epoch(), if any.
   Report report() const {
     std::lock_guard<std::mutex> g(mu_);
     Report r;
@@ -257,10 +151,9 @@ class Registry {
     return names_.size() - 1;
   }
 
-  /// Raw sum of name `i` over every shard and cell.
+  /// Raw sum of name `i` over every cell.
   std::uint64_t sum_locked(Id i) const noexcept {
     std::uint64_t sum = 0;
-    for (const auto& s : shards_) sum += s->get(i);
     for (std::size_t c = 0; c < cells_.size(); ++c) {
       if (cell_ids_[c] == i) sum += cells_[c].get();
     }
@@ -275,15 +168,9 @@ class Registry {
 
   mutable std::mutex mu_;
   std::vector<std::string> names_;
-  std::vector<std::string> hist_names_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::deque<Cell> cells_;
   std::vector<Id> cell_ids_;  // cells_[c] reports under names_[cell_ids_[c]]
   std::vector<std::uint64_t> base_;  // per-name epoch baselines
-
-  static thread_local Shard* tls_shard_;
 };
-
-inline thread_local Registry::Shard* Registry::tls_shard_ = nullptr;
 
 }  // namespace bgq::trace

@@ -177,22 +177,13 @@ class Session {
 inline thread_local EventRing* Session::tls_ring_ = nullptr;
 
 /// Emit into the calling thread's bound ring, stamping host time — taken
-/// lazily so an unbound thread pays no clock read.
-inline void emit_here(EventKind kind, std::uint32_t arg) noexcept {
-  if (EventRing* r = Session::thread_ring()) r->emit({now_ns(), arg, kind});
-}
-
-/// Cid-stamped variant for message-lifecycle hops; returns the timestamp
-/// used (0 when unbound) so callers can reuse it for online histograms
-/// without a second clock read.
-inline std::uint64_t emit_here(EventKind kind, std::uint32_t arg,
-                               std::uint64_t cid) noexcept {
+/// lazily so an unbound thread pays no clock read.  Message-lifecycle
+/// hops pass the message's causal id.
+inline void emit_here(EventKind kind, std::uint32_t arg,
+                      std::uint64_t cid = 0) noexcept {
   if (EventRing* r = Session::thread_ring()) {
-    const std::uint64_t t = now_ns();
-    r->emit({t, arg, kind, cid});
-    return t;
+    r->emit({now_ns(), arg, kind, cid});
   }
-  return 0;
 }
 
 }  // namespace bgq::trace

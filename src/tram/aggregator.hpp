@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/timing.hpp"
@@ -47,6 +48,14 @@
 #include "trace/trace.hpp"
 
 namespace bgq::tram {
+
+/// The router's counters, one cell per PE each.  The machine interns the
+/// names too, so a run without a router reports them as zeros.
+inline constexpr const char* kCounterNames[] = {
+    "tram.appends",       "tram.batches",         "tram.batched_msgs",
+    "tram.deagg_msgs",    "tram.flush.bytes",     "tram.flush.count",
+    "tram.flush.timeout", "tram.flush.barrier",   "tram.bypass.oversize",
+    "tram.stale_discards"};
 
 class Router {
  public:
@@ -59,6 +68,9 @@ class Router {
         state_(mach.config().pe_count()) {
     for (auto& st : state_) {
       st.by_proc.resize(mach.config().process_count());
+      for (std::size_t c = 0; c < kCounters; ++c) {
+        st.cells[c] = &mach.metrics().cell(kCounterNames[c]);
+      }
     }
     // Registered in the Machine constructor, before any application
     // handler: the deaggregator travels as an ordinary Converse handler
@@ -78,17 +90,16 @@ class Router {
   bool offer(cvs::Pe& pe, cvs::PeRank dst, cvs::Message* m) {
     cvs::MsgHeader& h = m->header();
     if (h.handler == handler_) return false;  // batches never re-batch
-    trace::Registry::Shard* sh = pe.counters_shard();
+    PeState& st = state_[pe.rank()];
     if (h.payload_bytes > cfg_.max_msg_bytes) {
-      sh->add(mach_.tram_ids().bypass_oversize);
+      st.count(kBypassOversize);
       return false;
     }
-    PeState& st = state_[pe.rank()];
     const std::size_t dp = mach_.process_of(dst);
     Buffer& b = st.by_proc[dp];
     if (mach_.ft_armed()) {
       const auto cur = static_cast<std::uint16_t>(mach_.msg_epoch());
-      if (!b.w.empty() && b.epoch != cur) discard_stale(pe, st, b);
+      if (!b.w.empty() && b.epoch != cur) discard_stale(st, b);
       b.epoch = cur;
     }
     if (!b.w.fits(h.payload_bytes, limit_bytes_)) {
@@ -103,7 +114,7 @@ class Router {
     b.w.append(h, m->payload());
     pe.free_message(m);
     ++st.staged;
-    sh->add(mach_.tram_ids().appends);
+    st.count(kAppends);
     if (b.w.count() >= cfg_.batch_msgs) {
       flush(pe, st, dp, b, Why::kCount);
     } else if (b.w.bytes() >= limit_bytes_) {
@@ -149,6 +160,13 @@ class Router {
  private:
   enum class Why { kBytes, kCount, kTimeout, kBarrier };
 
+  /// Indices into kCounterNames and PeState::cells.
+  enum Counter : std::size_t {
+    kAppends, kBatches, kBatchedMsgs, kDeaggMsgs, kFlushBytes, kFlushCount,
+    kFlushTimeout, kFlushBarrier, kBypassOversize, kStaleDiscards, kCounters
+  };
+  static_assert(kCounters == std::size(kCounterNames));
+
   static constexpr cvs::PeRank kMixedDst = ~cvs::PeRank{0};
 
   struct Buffer {
@@ -162,6 +180,12 @@ class Router {
   struct alignas(64) PeState {
     std::vector<Buffer> by_proc;  ///< indexed by destination process
     unsigned staged = 0;          ///< records across all buffers
+    /// This PE's tram.* cells, written only by its thread.
+    trace::Cell* cells[kCounters] = {};
+
+    void count(Counter c, std::uint64_t n = 1) noexcept {
+      cells[c]->owner_add(n);
+    }
   };
 
   void flush(cvs::Pe& pe, PeState& st, std::size_t dst_proc, Buffer& b,
@@ -169,7 +193,7 @@ class Router {
     if (b.w.empty()) return;
     if (mach_.ft_armed() &&
         b.epoch != static_cast<std::uint16_t>(mach_.msg_epoch())) {
-      discard_stale(pe, st, b);
+      discard_stale(st, b);
       return;
     }
     trace::EventRing* ring = pe.trace_ring();
@@ -182,15 +206,13 @@ class Router {
     std::memcpy(batch->payload(), b.w.data(), b.w.bytes());
     b.w.clear();
     st.staged -= n;
-    const cvs::TramIds& ids = mach_.tram_ids();
-    trace::Registry::Shard* sh = pe.counters_shard();
-    sh->add(ids.batches);
-    sh->add(ids.batched_msgs, n);
+    st.count(kBatches);
+    st.count(kBatchedMsgs, n);
     switch (why) {
-      case Why::kBytes: sh->add(ids.flush_bytes); break;
-      case Why::kCount: sh->add(ids.flush_count); break;
-      case Why::kTimeout: sh->add(ids.flush_timeout); break;
-      case Why::kBarrier: sh->add(ids.flush_barrier); break;
+      case Why::kBytes: st.count(kFlushBytes); break;
+      case Why::kCount: st.count(kFlushCount); break;
+      case Why::kTimeout: st.count(kFlushTimeout); break;
+      case Why::kBarrier: st.count(kFlushBarrier); break;
     }
     // A batch whose records all target one PE goes straight to it — the
     // deaggregator then executes every record inline, no re-enqueue.
@@ -209,8 +231,8 @@ class Router {
     }
   }
 
-  void discard_stale(cvs::Pe& pe, PeState& st, Buffer& b) {
-    pe.counters_shard()->add(mach_.tram_ids().stale_discards, b.w.count());
+  void discard_stale(PeState& st, Buffer& b) {
+    st.count(kStaleDiscards, b.w.count());
     st.staged -= b.w.count();
     b.w.clear();
   }
@@ -268,13 +290,11 @@ class Router {
           if (ft) mach_.note_executed();
           ++inline_n;
         });
-    trace::Registry::Shard* sh = pe.counters_shard();
     if (inline_n != 0) {
-      const cvs::CounterIds& ids = mach_.counter_ids();
-      sh->add(ids.busy_ns, now_ns() - t0);
-      sh->add(ids.msgs_executed, inline_n);
+      pe.busy_ns_.owner_add(now_ns() - t0);
+      pe.msgs_executed_.owner_add(inline_n);
     }
-    sh->add(mach_.tram_ids().deagg_msgs, n);
+    state_[self].count(kDeaggMsgs, n);
     pe.free_message(batch);
   }
 

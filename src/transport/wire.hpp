@@ -122,7 +122,8 @@ inline void put_u64(std::vector<std::byte>& o, std::uint64_t v) {
 }
 
 /// Bounds-checked cursor over a received ctrl body: a frame off the wire
-/// can be anything, so truncation must be a loud error, not a wild read.
+/// can be anything, so truncation must be a loud error, not a wild read,
+/// and leftover bytes an error too.
 class Reader {
  public:
   Reader(const std::byte* p, std::size_t n) : p_(p), n_(n) {}
@@ -140,6 +141,13 @@ class Reader {
     std::vector<std::byte> out(p_ + pos_, p_ + pos_ + n);
     pos_ += n;
     return out;
+  }
+  /// Throw unless every byte was read: a body longer than its fields is
+  /// as malformed as one that is shorter.
+  void finish() const {
+    if (pos_ != n_) {
+      throw FrameError("transport wire: trailing bytes in frame");
+    }
   }
 
  private:
@@ -179,6 +187,7 @@ inline CtrlMsg decode_ctrl(const std::byte* body, std::size_t n) {
   m.b = r.get<std::uint64_t>();
   m.c = r.get<std::uint64_t>();
   m.blob = r.bytes(r.get<std::uint32_t>());
+  r.finish();
   return m;
 }
 

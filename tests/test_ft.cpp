@@ -185,9 +185,8 @@ TEST(FaultPlanCrashDeathTest, BadEnvPlanRejectsAndExits) {
 
 TEST(RegistryEpoch, ResetRebasesCountersAndGauges) {
   bgq::trace::Registry reg;
-  const auto id = reg.intern("pe.msgs.executed");
-  auto* shard = reg.make_shard("pe0");
-  shard->add(id, 40);
+  bgq::trace::Cell& executed = reg.cell("pe.msgs.executed");
+  executed.owner_add(40);
   bgq::trace::Cell& crashes = reg.cell("ft.crashes");
   crashes.set(2);
   EXPECT_EQ(reg.report().value("pe.msgs.executed"), 40u);
@@ -198,7 +197,7 @@ TEST(RegistryEpoch, ResetRebasesCountersAndGauges) {
       << "post-reset reports are relative to the reset instant";
   EXPECT_EQ(reg.report().value("ft.crashes"), 0u);
 
-  shard->add(id, 7);
+  executed.owner_add(7);
   crashes.set(5);
   EXPECT_EQ(reg.report().value("pe.msgs.executed"), 7u);
   EXPECT_EQ(reg.report().value("ft.crashes"), 3u)

@@ -1,7 +1,8 @@
 // The machine's counter registry as its readers see it: every component
 // counts into cells it took when it was built, so a registry read is
-// current at any time, totals accumulate across runs, and the report
-// keeps one key set per configuration.
+// current at any time — also while the PEs that write it run — totals
+// accumulate across runs, and the report keeps one key set per
+// configuration.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -89,6 +90,40 @@ TEST(Metrics, IdleSecondRunDoesNotLowerCommSweeps) {
   idle_run(machine);
   EXPECT_GE(machine.metrics_report().value("comm.sweeps"), busy);
   EXPECT_GE(machine.metrics().total("pe.msgs.executed"), 4000u);
+}
+
+TEST(Metrics, LiveReadsOfPeCountersNeverFall) {
+  MachineConfig cfg;
+  cfg.nodes = 2;
+  cfg.mode = Mode::kSmp;
+  Machine machine(cfg);
+  // A thread that is not a PE reads the per-PE counters while the PEs
+  // write them, then once more after the run is over.
+  std::atomic<bool> over{false};
+  std::uint64_t reads = 0, executed = 0, sent = 0;
+  bool fell = false;
+  std::thread reader([&] {
+    for (bool last = false; !last;) {
+      last = over.load(std::memory_order_acquire);
+      const std::uint64_t e = machine.metrics().total("pe.msgs.executed");
+      const bgq::trace::Report r = machine.metrics().report();
+      const std::uint64_t s = r.value("pe.msgs.sent");
+      fell |= e < executed || s < sent || r.value("pe.msgs.executed") < e;
+      executed = e;
+      sent = s;
+      ++reads;
+      std::this_thread::yield();
+    }
+  });
+  ping_pong(machine, 2000);
+  over.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_FALSE(fell) << "a live read went backwards";
+  EXPECT_GT(reads, 1u);
+  const bgq::trace::Report after = machine.metrics_report();
+  EXPECT_EQ(executed, after.value("pe.msgs.executed"));
+  EXPECT_EQ(sent, after.value("pe.msgs.sent"));
+  EXPECT_GE(executed, 4000u);
 }
 
 // ---- the report's key set ---------------------------------------------------

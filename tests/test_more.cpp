@@ -62,8 +62,8 @@ TEST(NetworkParams, BgpIsSlowerThanBgq) {
 }
 
 TEST(Message, HeaderLayoutAndAccessors) {
-  // One layout in every build: delivery fields plus the causal-trace id
-  // and hop stamp.
+  // One layout in every build: delivery fields plus the causal-trace id,
+  // padded to 32 bytes.
   using bgq::cvs::MsgHeader;
   static_assert(sizeof(MsgHeader) == 32);
   alignas(16) unsigned char raw[sizeof(MsgHeader) + 48] = {};

@@ -175,18 +175,23 @@ TEST(TraceSession, CrossThreadFlushOrdering) {
 
 // ---- registry -------------------------------------------------------------
 
-TEST(TraceRegistry, ShardTotalsAndGauges) {
+TEST(TraceRegistry, CellTotalsAndGauges) {
   Registry reg;
   const Registry::Id sent = reg.intern("pe.msgs.sent");
-  const Registry::Id exec = reg.intern("pe.msgs.executed");
+  reg.intern("pe.msgs.executed");
   EXPECT_EQ(reg.intern("pe.msgs.sent"), sent) << "intern is idempotent";
   EXPECT_EQ(reg.counter_count(), 2u);
+  EXPECT_TRUE(reg.report().has("pe.msgs.sent")) << "interned names report";
 
-  Registry::Shard* s0 = reg.make_shard("pe0");
-  Registry::Shard* s1 = reg.make_shard("pe1");
-  s0->add(sent, 3);
-  s1->add(sent, 4);
-  s1->add(exec);
+  // One cell per PE, each added to by its one writer: a name's total is
+  // the sum of its cells.
+  bgq::trace::Cell& sent0 = reg.cell("pe.msgs.sent");
+  bgq::trace::Cell& sent1 = reg.cell("pe.msgs.sent");
+  bgq::trace::Cell& exec1 = reg.cell("pe.msgs.executed");
+  sent0.owner_add(3);
+  sent1.owner_add(4);
+  exec1.owner_add();
+  EXPECT_EQ(reg.counter_count(), 2u) << "cells reuse the interned names";
   EXPECT_EQ(reg.total("pe.msgs.sent"), 7u);
   EXPECT_EQ(reg.total("pe.msgs.executed"), 1u);
   EXPECT_EQ(reg.total("no.such.counter"), 0u);
@@ -198,7 +203,7 @@ TEST(TraceRegistry, ShardTotalsAndGauges) {
   EXPECT_EQ(reg.total("comm.parks"), 9u);
   parks.add(2);
   EXPECT_EQ(reg.total("comm.parks"), 11u);
-  // Every cell of a name, and its shard counters, sum into its total.
+  // Every cell of a name sums into its total, shared or single-writer.
   reg.cell("comm.parks").add(4);
   EXPECT_EQ(reg.total("comm.parks"), 15u);
   reg.cell("pe.msgs.sent").add(100);
@@ -238,11 +243,10 @@ TEST(TraceRegistry, CellsOwnALineAndReadWhileWritersRun) {
 
 TEST(TraceRegistry, ReportIsNameSorted) {
   Registry reg;
-  const Registry::Id z = reg.intern("z.last");
-  const Registry::Id a = reg.intern("a.first");
-  Registry::Shard* s = reg.make_shard("pe0");
-  s->add(z, 2);
-  s->add(a, 1);
+  reg.intern("z.last");
+  reg.intern("a.first");
+  reg.cell("z.last").owner_add(2);
+  reg.cell("a.first").owner_add(1);
   reg.cell("m.middle").set(7);
 
   const bgq::trace::Report r = reg.report();

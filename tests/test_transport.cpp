@@ -244,6 +244,22 @@ TEST(Wire, TruncatedFrameIsALoudError) {
                FrameError);
 }
 
+TEST(Wire, CtrlFrameWithTrailingBytesIsRejected) {
+  CtrlMsg m;
+  m.type = 19;
+  m.blob = {std::byte{1}, std::byte{2}};
+  std::vector<std::byte> frame;
+  wire::encode_ctrl(m, frame);
+  ASSERT_EQ(frame.size(), 41u);
+  // The length prefix claims 50 bytes; the fields and blob fill only 41.
+  frame.resize(50, std::byte{0});
+  const std::uint32_t n = 50;
+  std::memcpy(frame.data(), &n, sizeof(n));
+  EXPECT_THROW(wire::decode_ctrl(frame.data() + wire::kFrameOverhead,
+                                 frame.size() - wire::kFrameOverhead),
+               FrameError);
+}
+
 TEST(Wire, RdmaTransfersCannotBeEncoded) {
   std::byte buf[8] = {};
   const PacketPtr p(Packet::create_rdma(TransferKind::kRdmaRead, buf, buf,
